@@ -5,7 +5,7 @@ Every command requires --seed and identical invocations produce
 byte-identical output files.  Flags override key=value config files,
 which override built-in defaults; the defaults are the canonical
 1000-step linear [1e-4, 0.02] schedule, with --desk switching to the
-desk-scale T=100 profile.
+desk-scale T=100, [1e-3, 0.2] profile.
 
 Exit codes: 0 success, 1 usage error, 2 domain error.
 """
@@ -62,8 +62,9 @@ def _schedule_from(args):
     T = int(_resolve(args, "T", 100 if desk else 1000, int))
     kind = _resolve(args, "schedule", "linear", str)
     if kind == "linear":
+        b0, b1 = (1e-3, 0.2) if desk else (1e-4, 0.02)
         return schedules.make_linear_schedule(
-            T, _resolve(args, "beta-start", 1e-4), _resolve(args, "beta-end", 0.02))
+            T, _resolve(args, "beta-start", b0), _resolve(args, "beta-end", b1))
     if kind == "cosine":
         return schedules.make_cosine_schedule(T, _resolve(args, "offset", 0.008))
     raise _UsageError(f"unknown schedule kind: {kind}")
@@ -212,7 +213,8 @@ def _add_schedule_flags(p):
     p.add_argument("--beta-end", type=float, default=None)
     p.add_argument("--offset", type=float, default=None)
     p.add_argument("--desk", action="store_true",
-                   help="desk-scale profile: T=100 unless --T is given")
+                   help="desk-scale profile: T=100 and linear beta in [1e-3, 0.2], "
+                        "unless --T, --beta-start or --beta-end is given")
     p.add_argument("--config", default=None, help="key=value config file")
 
 
@@ -298,3 +300,7 @@ def run_cli(argv):
 
 def main():
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -91,31 +91,36 @@ def vlb_estimate(m, x0, sched, M, rng, eps_fn=None):
     (mean from the eps prediction, variance beta_tilde_t).  L0 uses a
     Gaussian decoder N(predicted x0 at t=1, beta_1 I).  LT is the exact
     prior-matching KL.  ``eps_fn(x_t, t)`` overrides the model's
-    prediction (test hook for oracle predictors).
+    prediction (test hook for oracle predictors); like the model, it
+    receives the M draws as one (M, d) batch and a scalar t.
+
+    Each t takes its M draws as one (M * d,) normal draw, which is the
+    same stream as M successive draws of size d.  The M per-draw Gaussians
+    are independent, so their KLs (and log densities) sum into the KL of
+    the flattened (M * d,) Gaussians.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+    x0s = np.tile(x0, M)  # the M draws side by side, flattened in C order
     predict = eps_fn if eps_fn is not None else (lambda x, t: m.predict(x, t, sched=sched))
+
+    def mu_p(x_t, t):
+        eps = np.reshape(predict(x_t.reshape(M, -1), t), -1)
+        return mu_tilde_from_eps(x_t, eps, t, sched)
 
     Lt = np.zeros(max(sched.T - 1, 0))
     for t in range(2, sched.T + 1):
-        acc = 0.0
-        for _ in range(M):
-            x_t, _ = forward.sample_xt(x0, t, sched, rng)
-            post = forward.posterior_q(x_t, x0, t, sched)
-            mu_p = mu_tilde_from_eps(x_t, predict(x_t, t), t, sched)
-            p = DiagGaussian(mu_p, np.full_like(mu_p, sched.beta_tilde[t]))
-            acc += kl_closed_form(post, p)
-        Lt[t - 2] = acc / M
+        x_t, _ = forward.sample_xt(x0s, t, sched, rng)
+        post = forward.posterior_q(x_t, x0s, t, sched)
+        mu = mu_p(x_t, t)
+        p = DiagGaussian(mu, np.full_like(mu, sched.beta_tilde[t]))
+        Lt[t - 2] = kl_closed_form(post, p) / M
 
-    acc0 = 0.0
-    for _ in range(M):
-        x1, _ = forward.sample_xt(x0, 1, sched, rng)
-        x0_hat = mu_tilde_from_eps(x1, predict(x1, 1), 1, sched)
-        dec = DiagGaussian(x0_hat, np.full_like(x0_hat, sched.beta[1]))
-        acc0 += -float(log_pdf(dec, x0))
-    L0 = acc0 / M
+    x1, _ = forward.sample_xt(x0s, 1, sched, rng)
+    x0_hat = mu_p(x1, 1)
+    dec = DiagGaussian(x0_hat, np.full_like(x0_hat, sched.beta[1]))
+    L0 = -float(log_pdf(dec, x0s)) / M
 
     LT = kl_closed_form(forward.marginal_q(x0, sched.T, sched),
                         DiagGaussian(np.zeros_like(x0), np.ones_like(x0)))

@@ -69,10 +69,14 @@ class _Network:
         if xb.shape[1] != self.data_dim:
             raise ValueError("dimension mismatch between x and model")
         n = xb.shape[0]
-        ts = np.broadcast_to(np.asarray(t, dtype=np.int64), (n,))
-        if np.any(ts < 1) or np.any(ts > sched.T):
+        ts = np.asarray(t, dtype=np.int64)
+        if ts.ndim == 0:  # every sampler step: one comparison, one encoding
+            ok = 1 <= ts <= sched.T
+        else:
+            ok = not (np.any(ts < 1) or np.any(ts > sched.T))
+        if not ok:
             raise ValueError("t out of range [1, T]")
-        cols = [xb, time_features(ts, sched)]
+        cols = [xb, np.broadcast_to(time_features(ts, sched), (n, N_TIME_FEATURES))]
         if self.conditioning is None:
             if y is not None:
                 raise ValueError("unconditional model: y must be None")
@@ -131,16 +135,17 @@ class NoisePredictor(_Network):
         super().__init__(data_dim, hidden, data_dim, conditioning, params)
         self.skip = bool(skip)
 
-    def _baseline(self, x, t, sched):
+    def _baseline(self, feats):
+        """sqrt(1 - abar_t) * x, both read from the feature rows."""
         if not self.skip:
             return 0.0
-        lvl = np.sqrt(1.0 - sched.alpha_bar[np.asarray(t, dtype=np.int64)])
-        return np.reshape(lvl, (-1, 1)) * np.atleast_2d(x)
+        d = self.data_dim
+        return feats[:, d + N_TIME_FEATURES - 1, None] * feats[:, :d]
 
     def predict(self, x, t, y=None, sched=None):
         feats, squeeze = self._features(x, t, y, sched)
         out, _ = self._forward(feats)
-        out = out + self._baseline(x, t, sched)
+        out = out + self._baseline(feats)
         return out[0] if squeeze else out
 
     def loss_and_grad(self, x_t, t, y, eps, sched):
@@ -152,7 +157,7 @@ class NoisePredictor(_Network):
         if feats.shape[0] != eps.shape[0] or eps.shape[1] != self.data_dim:
             raise ValueError("batch shape mismatch")
         out, acts = self._forward(feats)
-        resid = out + self._baseline(x_t, t, sched) - eps
+        resid = out + self._baseline(feats) - eps
         loss = float(np.mean(np.sum(resid ** 2, axis=1)))
         grad, _ = self._backward(acts, 2.0 * resid / resid.shape[0])
         return loss, grad

@@ -32,6 +32,10 @@ class TrainConfig:
             raise ValueError("eta must be >= 0")
         if not 0.0 <= self.p_drop <= 1.0:
             raise ValueError("p_drop must lie in [0, 1]")
+        if self.eval_interval < 1:
+            raise ValueError("eval_interval must be >= 1")
+        if self.loss_variant not in ("simple", "weighted"):
+            raise ValueError("loss_variant must be 'simple' or 'weighted'")
 
 
 @dataclass(frozen=True)

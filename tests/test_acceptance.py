@@ -96,7 +96,7 @@ def test_criterion_02_posterior_vs_quadrature_oracle():
         logz = math.log(np.trapezoid(np.exp(num - num.max()), grid)) + num.max()
         oracle_lp = num - logz
         idx = slice(10000, 30001)  # central region, well inside the grid
-        ours = np.array([log_pdf(g, [v]) for v in grid[idx]]).ravel()
+        ours = log_pdf(g, grid[idx][:, None])
         assert np.max(np.abs(ours - oracle_lp[idx])) < 1e-6
     report("criterion 2: posterior density matches grid-quadrature Bayes oracle")
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from toydiff import forward
 from toydiff.forward import posterior_q
+from toydiff.gaussian import DiagGaussian, kl_closed_form, log_pdf
 from toydiff.losses import (VlbReport, loss_eps_weighted, loss_simple,
                             loss_x0_weighted, mu_tilde_from_eps, vlb_estimate,
                             x0_from_eps)
@@ -134,6 +136,48 @@ def test_vlb_oracle_predictor_zeroes_kl_terms():
     # decoder mean is exactly x0 -> L0 = 0.5 log(2 pi beta_1)
     assert np.isclose(rep.L0, 0.5 * math.log(2 * math.pi * s.beta[1]), rtol=1e-10)
     assert rep.LT > 0
+
+
+def per_draw_vlb(m, x0, sched, M, rng):
+    """Reference: the bound with one network call per (t, draw), summed draw by draw."""
+    predict = lambda x, t: m.predict(x, t, sched=sched)
+    Lt = np.zeros(sched.T - 1)
+    for t in range(2, sched.T + 1):
+        acc = 0.0
+        for _ in range(M):
+            x_t, _ = forward.sample_xt(x0, t, sched, rng)
+            post = forward.posterior_q(x_t, x0, t, sched)
+            mu_p = mu_tilde_from_eps(x_t, predict(x_t, t), t, sched)
+            p = DiagGaussian(mu_p, np.full_like(mu_p, sched.beta_tilde[t]))
+            acc += kl_closed_form(post, p)
+        Lt[t - 2] = acc / M
+    acc0 = 0.0
+    for _ in range(M):
+        x1, _ = forward.sample_xt(x0, 1, sched, rng)
+        x0_hat = mu_tilde_from_eps(x1, predict(x1, 1), 1, sched)
+        dec = DiagGaussian(x0_hat, np.full_like(x0_hat, sched.beta[1]))
+        acc0 += -float(log_pdf(dec, x0))
+    L0 = acc0 / M
+    LT = kl_closed_form(forward.marginal_q(x0, sched.T, sched),
+                        DiagGaussian(np.zeros_like(x0), np.ones_like(x0)))
+    return L0, Lt, L0 + float(np.sum(Lt)) + LT
+
+
+@pytest.mark.parametrize("M", [1, 7])
+@pytest.mark.parametrize("d", [1, 2])
+def test_vlb_batched_matches_per_draw_reference(M, d):
+    # one (M, d) draw per t consumes the stream exactly as M draws of size d;
+    # only the order of summation differs
+    s = make_linear_schedule(50, 1e-3, 0.2)
+    m = init_noise_predictor(d, hidden=(8,), rng=RngState(5))
+    x0 = np.linspace(-1.5, 1.0, d)
+    rng_a, rng_b = RngState(9), RngState(9)
+    rep = vlb_estimate(m, x0, s, M, rng_a)
+    L0, Lt, total = per_draw_vlb(m, x0, s, M, rng_b)
+    assert np.allclose(rep.Lt, Lt, rtol=1e-12, atol=0)
+    assert math.isclose(rep.L0, L0, rel_tol=1e-12)
+    assert math.isclose(rep.total, total, rel_tol=1e-12)
+    assert rng_a.normal_draws == rng_b.normal_draws == s.T * M * d
 
 
 def test_vlb_prior_term_small_for_long_schedule():

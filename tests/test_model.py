@@ -63,6 +63,20 @@ def test_skip_baseline_adds_noise_level_times_x():
                           m0.predict(x, 40, None, SCHED) + lvl * x)
 
 
+@pytest.mark.parametrize("cond", [None, 2])
+@pytest.mark.parametrize("n", [1, 7, 10000])
+def test_scalar_t_features_equal_array_t_rows(cond, n):
+    m = init_noise_predictor(1, hidden=(4,), conditioning=cond, rng=RngState(6))
+    x = np.random.default_rng(n).normal(size=(n, 1))
+    for t in (1, 2, 37, 99, 100):
+        scalar, _ = m._features(x, t, None, SCHED)
+        array, _ = m._features(x, np.full(n, t), None, SCHED)
+        assert np.array_equal(scalar, array)
+    for bad in (0, SCHED.T + 1):
+        with pytest.raises(ValueError):
+            m._features(x, bad, None, SCHED)
+
+
 def test_predict_deterministic_and_shaped():
     m = init_noise_predictor(2, hidden=(6,), rng=RngState(2))
     x = np.random.default_rng(0).normal(size=(5, 2))

@@ -1,9 +1,13 @@
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import toydiff
 from toydiff.cli import run_cli
 from toydiff.model import init_classifier, init_noise_predictor
 from toydiff.persistence import load_checkpoint, save_checkpoint, write_csv
@@ -104,6 +108,16 @@ def test_cli_requires_seed(tmp_path, capsys):
     assert "usage" in capsys.readouterr().err
 
 
+def test_cli_module_entry_point_exit_1_without_arguments():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toydiff.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "toydiff.cli"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "usage" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_cli_unknown_flag_exit_1(capsys):
     assert run2(["kl-demo", "--seed", 0, "--q", "1,1", "--p", "0,4",
                  "--bogus"]) == 1
@@ -143,6 +157,24 @@ def test_cli_train_zero_steps_equals_init(tmp_path):
     m, _ = load_checkpoint(out)
     fresh = init_noise_predictor(1, hidden=(8,), rng=RngState(3).spawn(1))
     assert np.array_equal(m.params, fresh.params)
+
+
+def checkpoint_meta(path):
+    return dict(l.split("=", 1) for l in path.read_text().splitlines()
+                if l.startswith("schedule_"))
+
+
+def test_cli_train_desk_selects_desk_betas(tmp_path):
+    meta = checkpoint_meta(train_small(tmp_path, "desk.ckpt"))
+    assert (meta["schedule_T"], float(meta["schedule_beta_start"]),
+            float(meta["schedule_beta_end"])) == ("100", 1e-3, 0.2)
+    # flags and the config file still override the desk betas
+    cfgf = tmp_path / "cfg"
+    cfgf.write_text("beta-end=0.05\n")
+    meta = checkpoint_meta(train_small(tmp_path, "over.ckpt", [
+        "--beta-start", "0.002", "--config", cfgf]))
+    assert (float(meta["schedule_beta_start"]),
+            float(meta["schedule_beta_end"])) == (0.002, 0.05)
 
 
 def test_cli_sample_rerun_byte_identical(tmp_path):

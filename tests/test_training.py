@@ -22,6 +22,18 @@ def test_train_config_validation():
         TrainConfig(p_drop=1.5)
 
 
+def test_train_config_rejects_eval_interval_below_one():
+    for bad in (0, -5):
+        with pytest.raises(ValueError):
+            TrainConfig(eval_interval=bad)
+
+
+def test_train_config_rejects_unknown_loss_variant():
+    with pytest.raises(ValueError):
+        TrainConfig(loss_variant="bogus")
+    TrainConfig(loss_variant="weighted")
+
+
 def test_zero_learning_rate_leaves_params_bitwise():
     m = init_noise_predictor(1, hidden=(8,), rng=RngState(0))
     before = m.params.copy()
