@@ -45,15 +45,12 @@ def _read_config(path):
 
 
 def _resolve(args, name, default, cast=float):
-    """Flag > config-file value > default."""
+    """Flag > config-file value (read once by run_cli) > default."""
     val = getattr(args, name.replace("-", "_"), None)
     if val is not None:
         return val
-    cfgfile = getattr(args, "config", None)
-    if cfgfile:
-        cfg = _read_config(cfgfile)
-        if name in cfg:
-            return cast(cfg[name])
+    if name in args.config_values:
+        return cast(args.config_values[name])
     return default
 
 
@@ -72,7 +69,7 @@ def _schedule_from(args):
 
 def _meta(args, extra=None):
     flags = {k: v for k, v in sorted(vars(args).items())
-             if k not in ("func",) and v is not None}
+             if k not in ("func", "config_values") and v is not None}
     meta = {"format_version": FORMAT_VERSION}
     meta.update({f"flag_{k}": v for k, v in flags.items()})
     if extra:
@@ -111,22 +108,24 @@ def _cmd_train(args):
 
 
 def _cmd_sample(args):
+    if args.guidance == "classifier" and args.classifier is None:
+        raise _UsageError("--guidance classifier needs --classifier")
     m, sched = persistence.load_checkpoint(args.checkpoint)
     rng = RngState(args.seed)
     cfg = samplers.SamplerConfig(kind=args.sampler, sigma_policy=args.sigma,
                                  n_chains=args.n)
     if args.guidance == "none":
-        trajs = samplers.sample_reverse(m, cfg, sched, y=args.label, rng=rng)
+        states = samplers.sample_reverse(m, cfg, sched, y=args.label, rng=rng)
     elif args.guidance == "cfg":
         g = guidance.GuidanceConfig(mode="classifier-free", scale=args.scale,
                                     target=args.label)
-        trajs = guidance.guided_sample(m, cfg, g, sched, rng)
+        states = guidance.guided_sample(m, cfg, g, sched, rng)
     else:
         c, _ = persistence.load_checkpoint(args.classifier)
         g = guidance.GuidanceConfig(mode="classifier", scale=args.scale,
                                     target=args.label, classifier=c)
-        trajs = guidance.guided_sample(m, cfg, g, sched, rng)
-    x0 = samplers.final_states(trajs)
+        states = guidance.guided_sample(m, cfg, g, sched, rng)
+    x0 = samplers.final_states(states)
     cols = ["chain", "t"] + [f"dim{i}" for i in range(m.data_dim)]
     rows = [(i, 0, *x0[i]) for i in range(len(x0))]
     if args.label is not None:
@@ -192,8 +191,12 @@ def _cmd_reparam_demo(args):
 
 
 def _cmd_hist(args):
+    if args.bins < 1:
+        raise _UsageError(f"--bins must be >= 1, got {args.bins}")
     with open(args.input) as fh:
         lines = [l for l in fh.read().splitlines() if l and not l.startswith("#")]
+    if len(lines) < 2:
+        raise ValueError(f"{args.input}: no data rows to histogram")
     header = lines[0].split(",")
     col = header.index("dim0")
     vals = np.array([float(l.split(",")[col]) for l in lines[1:]])
@@ -287,12 +290,13 @@ def run_cli(argv):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        config = getattr(args, "config", None)
+        args.config_values = _read_config(config) if config else {}
+        return args.func(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         ap.print_usage(sys.stderr)
         return 1
-    try:
-        return args.func(args)
     except (ValueError, FloatingPointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

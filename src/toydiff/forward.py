@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import DiagGaussian, _LOG_2PI
+from .schedules import check_t
 
 
 @dataclass(frozen=True)
@@ -70,14 +71,9 @@ def default_mixture():
                    vars=[[0.25], [0.25]], labels=[0, 1])
 
 
-def _check_t(t, sched, lo=1):
-    if not lo <= t <= sched.T:
-        raise ValueError(f"t={t} out of range [{lo}, {sched.T}]")
-
-
 def forward_step(x_prev, t, sched, rng):
     """One noising step: sqrt(alpha_t) x_{t-1} + sqrt(beta_t) z."""
-    _check_t(t, sched)
+    check_t(t, sched)
     x_prev = np.asarray(x_prev, dtype=np.float64)
     z = rng.standard_normal(x_prev.shape)
     return np.sqrt(sched.alpha[t]) * x_prev + np.sqrt(sched.beta[t]) * z
@@ -88,7 +84,7 @@ def marginal_q(x0, t, sched):
 
     t = 0 returns the point mass at x0.
     """
-    _check_t(t, sched, lo=0)
+    check_t(t, sched, lo=0)
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     ab = sched.alpha_bar[t]
     return DiagGaussian(np.sqrt(ab) * x0, np.full_like(x0, 1.0 - ab))
@@ -100,7 +96,7 @@ def sample_xt(x0, t, sched, rng):
     The pair satisfies x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps exactly,
     which is what the training loop consumes.
     """
-    _check_t(t, sched)
+    check_t(t, sched)
     x0 = np.asarray(x0, dtype=np.float64)
     eps = rng.standard_normal(x0.shape)
     xt = np.sqrt(sched.alpha_bar[t]) * x0 + np.sqrt(1.0 - sched.alpha_bar[t]) * eps
@@ -112,7 +108,7 @@ def posterior_q(x_t, x0, t, sched):
 
     At t = 1 this collapses to the point mass at x0.
     """
-    _check_t(t, sched)
+    check_t(t, sched)
     x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     ab_prev, ab = sched.alpha_bar[t - 1], sched.alpha_bar[t]

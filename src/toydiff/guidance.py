@@ -1,20 +1,18 @@
 """Class-conditional steering of the reverse process.
 
-Classifier guidance shifts the DDPM step mean by
-s * beta_tilde_t * grad_x log p(y | x, t) evaluated at the unguided mean
-(the Taylor expansion point).  Classifier-free guidance combines the
+Classifier guidance is a mean-shift hook on the DDPM step: the step mean
+mu moves to mu + s * beta_tilde_t * grad_x log p(y | x, t), with the
+gradient taken at the unguided mean (the Taylor expansion point), and
+the covariance is untouched.  Classifier-free guidance combines the
 conditional and null-label noise predictions into
 eps_tilde = eps(y) + s * (eps(y) - eps(null)) and feeds that to either
-sampler.  Classifier guidance is DDPM-only; no DDIM mean-shift variant
-is defined here.
+sampler.  Both run on samplers.sample_reverse.  Classifier guidance is
+DDPM-only; no DDIM mean-shift variant is defined here.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import samplers
-from .losses import mu_tilde_from_eps
 
 
 @dataclass(frozen=True)
@@ -35,6 +33,11 @@ class GuidanceConfig:
             raise ValueError("classifier mode needs a classifier")
 
 
+def _classifier_shift(c, y, s, sched):
+    """The mean-shift hook mu, t -> s * beta_tilde_t * grad_x log p(y | mu, t)."""
+    return lambda mu, t: s * sched.beta_tilde[t] * c.grad_x(mu, t, y, sched)
+
+
 def guided_ddpm_step(m, c, x_t, t, y, s, sched, rng):
     """DDPM step with the mean nudged toward class y.
 
@@ -43,14 +46,8 @@ def guided_ddpm_step(m, c, x_t, t, y, s, sched, rng):
     """
     if s < 0.0:
         raise ValueError("s must be >= 0")
-    if not 1 <= t <= sched.T:
-        raise ValueError(f"t={t} out of range [1, {sched.T}]")
-    x_t = np.asarray(x_t, dtype=np.float64)
-    mu = mu_tilde_from_eps(x_t, m.predict(x_t, t, None, sched), t, sched)
-    mean = mu + s * sched.beta_tilde[t] * c.grad_x(mu, t, y, sched)
-    if t == 1:
-        return mean
-    return mean + np.sqrt(sched.beta_tilde[t]) * rng.standard_normal(x_t.shape)
+    return samplers.ddpm_step(m, x_t, t, sched, rng=rng,
+                              shift=_classifier_shift(c, y, s, sched))
 
 
 def cfg_eps(m, x, t, y, s, sched):
@@ -63,26 +60,18 @@ def cfg_eps(m, x, t, y, s, sched):
 
 
 def guided_sample(m, cfg, g, sched, rng):
-    """Reverse sampling under a GuidanceConfig; returns trajectories.
+    """Reverse sampling under a GuidanceConfig; returns the (L, n, d) states.
 
     mode "none" is exactly samplers.sample_reverse.  Classifier mode
-    replaces the DDPM step with guided_ddpm_step; classifier-free mode
-    swaps the noise prediction for cfg_eps inside either sampler.
+    passes the classifier shift as the DDPM step's mean-shift hook and
+    raises ValueError for DDIM before any draw; classifier-free mode
+    swaps the noise prediction for cfg_eps inside either sampler.  The
+    states are laid out as in sample_reverse.
     """
     if g.mode == "none":
         return samplers.sample_reverse(m, cfg, sched, rng=rng)
     if g.mode == "classifier-free":
         eps_fn = lambda x, t: cfg_eps(m, x, t, g.target, g.scale, sched)
         return samplers.sample_reverse(m, cfg, sched, rng=rng, eps_fn=eps_fn)
-    if cfg.kind != "ddpm":
-        raise ValueError("classifier guidance is defined for the DDPM sampler only")
-    d, n = m.data_dim, cfg.n_chains
-    x = rng.standard_normal((n, d))
-    recorded = [x.copy()]
-    for t in range(sched.T, 0, -1):
-        x = guided_ddpm_step(m, g.classifier, x, t, g.target, g.scale, sched, rng)
-        if cfg.record or t == 1:
-            recorded.append(x.copy())
-    states = np.stack(recorded)
-    times = np.arange(sched.T, -1, -1) if cfg.record else np.array([sched.T, 0])
-    return [samplers.Trajectory(times=times, states=states[:, i, :]) for i in range(n)]
+    shift = _classifier_shift(g.classifier, g.target, g.scale, sched)
+    return samplers.sample_reverse(m, cfg, sched, rng=rng, shift=shift)

@@ -12,16 +12,12 @@ import numpy as np
 
 from . import forward
 from .gaussian import DiagGaussian, kl_closed_form, log_pdf
-
-
-def _check_t(t, sched, lo=1):
-    if not lo <= t <= sched.T:
-        raise ValueError(f"t={t} out of range [{lo}, {sched.T}]")
+from .schedules import check_t
 
 
 def x0_from_eps(x_t, eps, t, sched):
     """Invert the direct-sampling identity: x0 = (x_t - sqrt(1-abar) eps) / sqrt(abar)."""
-    _check_t(t, sched)
+    check_t(t, sched)
     ab = sched.alpha_bar[t]
     return (np.asarray(x_t, dtype=np.float64)
             - np.sqrt(1.0 - ab) * np.asarray(eps)) / np.sqrt(ab)
@@ -29,7 +25,7 @@ def x0_from_eps(x_t, eps, t, sched):
 
 def mu_tilde_from_eps(x_t, eps, t, sched):
     """Posterior mean in eps form: (x_t - (1-alpha)/sqrt(1-abar) eps) / sqrt(alpha)."""
-    _check_t(t, sched)
+    check_t(t, sched)
     a, ab = sched.alpha[t], sched.alpha_bar[t]
     return (np.asarray(x_t, dtype=np.float64)
             - (1.0 - a) / np.sqrt(1.0 - ab) * np.asarray(eps)) / np.sqrt(a)
@@ -43,29 +39,26 @@ def loss_simple(eps_hat, eps):
         raise ValueError("dimension mismatch")
     return float(np.sum((eps_hat - eps) ** 2))
 
-def _weighted(resid_sq, w):
-    return float(w * resid_sq)
-
 
 def loss_x0_weighted(x0_hat, x0, t, sched):
     """KL-derived loss on the x0 prediction, weight abar_{t-1} beta^2 / (2 bt (1-abar)^2)."""
     if t < 2:
         raise ValueError("t=1 has beta_tilde=0; weighted loss undefined")
-    _check_t(t, sched)
+    check_t(t, sched)
     bt, b, ab, ab_prev = (sched.beta_tilde[t], sched.beta[t],
                           sched.alpha_bar[t], sched.alpha_bar[t - 1])
     w = (1.0 / (2.0 * bt)) * (ab_prev * b ** 2) / (1.0 - ab) ** 2
-    return _weighted(np.sum((np.asarray(x0_hat) - np.asarray(x0)) ** 2), w)
+    return float(w * np.sum((np.asarray(x0_hat) - np.asarray(x0)) ** 2))
 
 
 def loss_eps_weighted(eps_hat, eps, t, sched):
     """KL-derived loss on the noise prediction, weight (1-alpha)^2 / (2 bt alpha (1-abar))."""
     if t < 2:
         raise ValueError("t=1 has beta_tilde=0; weighted loss undefined")
-    _check_t(t, sched)
+    check_t(t, sched)
     bt, a, ab = sched.beta_tilde[t], sched.alpha[t], sched.alpha_bar[t]
     w = (1.0 / (2.0 * bt)) * (1.0 - a) ** 2 / (a * (1.0 - ab))
-    return _weighted(np.sum((np.asarray(eps_hat) - np.asarray(eps)) ** 2), w)
+    return float(w * np.sum((np.asarray(eps_hat) - np.asarray(eps)) ** 2))
 
 
 @dataclass(frozen=True)

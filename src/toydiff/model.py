@@ -148,18 +148,23 @@ class NoisePredictor(_Network):
         out = out + self._baseline(feats)
         return out[0] if squeeze else out
 
-    def loss_and_grad(self, x_t, t, y, eps, sched):
-        """Mean squared noise-prediction error and its parameter gradient."""
+    def loss_and_grad(self, x_t, t, y, eps, sched, weights=None):
+        """Mean (optionally per-sample weighted) squared noise-prediction
+        error and its parameter gradient; ``weights`` default to ones."""
         eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
-        if eps.shape[0] == 0:
+        n = eps.shape[0]
+        if n == 0:
             raise ValueError("empty batch")
         feats, _ = self._features(x_t, t, y, sched)
-        if feats.shape[0] != eps.shape[0] or eps.shape[1] != self.data_dim:
+        if feats.shape[0] != n or eps.shape[1] != self.data_dim:
             raise ValueError("batch shape mismatch")
+        w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+        if w.shape != (n,):
+            raise ValueError("weights must hold one value per batch row")
         out, acts = self._forward(feats)
         resid = out + self._baseline(feats) - eps
-        loss = float(np.mean(np.sum(resid ** 2, axis=1)))
-        grad, _ = self._backward(acts, 2.0 * resid / resid.shape[0])
+        loss = float(np.mean(w * np.sum(resid ** 2, axis=1)))
+        grad, _ = self._backward(acts, 2.0 * w[:, None] * resid / n)
         return loss, grad
 
 

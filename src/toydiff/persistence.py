@@ -44,11 +44,18 @@ def save_checkpoint(m, sched, path, seed_note=""):
         fh.write("\n".join(lines) + "\n")
 
 
+class _Meta(dict):
+    """Checkpoint key=value pairs; a missing required key is a ValueError."""
+
+    def __missing__(self, key):
+        raise ValueError(f"checkpoint is missing the key {key!r}")
+
+
 def load_checkpoint(path):
     """Read a checkpoint back into (model, schedule)."""
     with open(path) as fh:
         raw = fh.read().splitlines()
-    meta, params, in_params = {}, [], False
+    meta, params, in_params = _Meta(), [], False
     for i, line in enumerate(raw, start=1):
         if not line or line.startswith("#"):
             continue

@@ -76,6 +76,12 @@ def make_cosine_schedule(T, offset=0.008):
     return _build(T, beta, "cosine", {"offset": offset})
 
 
+def check_t(t, sched, lo=1):
+    """Raise ValueError unless lo <= t <= sched.T."""
+    if not lo <= t <= sched.T:
+        raise ValueError(f"t={t} out of range [{lo}, {sched.T}]")
+
+
 def validate_schedule(s):
     """Re-check all Schedule invariants; raises ValueError on violation."""
     b, a, ab, bt = s.beta[1:], s.alpha[1:], s.alpha_bar, s.beta_tilde[1:]

@@ -1,11 +1,12 @@
-"""Plain-SGD training loops for the noise predictor and the classifier.
+"""Plain-SGD training of the noise predictor and of the classifier.
 
-Each step draws a batch x0 from the data mixture, a uniform t per sample,
-forms (x_t, eps) by direct sampling, and takes one gradient step on the
-simple noise-prediction loss (or the classifier NLL).  Conditional
-training routes the true component label in, replacing it with the null
-label with probability p_drop so the same network also learns the
-unconditional prediction.
+Both run one shared loop.  Each step draws a batch x0 from the data
+mixture, a uniform t per sample, forms (x_t, eps) by direct sampling,
+and takes one gradient step on the noise-prediction loss, simple or
+weighted (or on the classifier NLL).  Conditional training routes the
+true component label in, replacing it with the null label with
+probability p_drop so the same network also learns the unconditional
+prediction.
 """
 
 import time
@@ -58,55 +59,41 @@ def _weighted_scale(t_arr, sched):
 def train(m, data, sched, cfg, rng):
     """One-sample-per-line SGD on the noise-prediction loss (batched mean).
 
-    Mutates m in place and returns a TrainReport.  Conditional models
-    require a labelled GmmSpec.
+    cfg.loss_variant "weighted" weights each sample's squared residual by
+    its eps-form KL coefficient.  Mutates m in place and returns a
+    TrainReport.  Conditional models require a labelled GmmSpec.
     """
     conditional = m.conditioning is not None
     if conditional and data.labels is None:
         raise ValueError("conditional training needs labelled data")
-    curve, acc, t0 = [], [], time.perf_counter()
-    for step in range(1, cfg.steps + 1):
-        x0, labels = forward.gmm_sample(data, rng, size=cfg.batch_size)
-        t_arr = rng.integers(1, sched.T + 1, size=cfg.batch_size)
-        eps = rng.standard_normal(x0.shape)
-        ab = sched.alpha_bar[t_arr][:, None]
-        x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-        y = None
+    weighted = cfg.loss_variant == "weighted"
+
+    def objective(x_t, t_arr, labels, eps):
         if conditional:
-            y = labels.copy()
-            drop = rng.uniform(size=cfg.batch_size) < cfg.p_drop
-            y[drop] = -1  # null label
-        loss, grad = m.loss_and_grad(x_t, t_arr, y, eps, sched)
-        if cfg.loss_variant == "weighted":
-            # reweight per-sample contributions by recomputing with scaled residuals
-            w = _weighted_scale(t_arr, sched)
-            eps_hat = m.predict(x_t, t_arr, y, sched)
-            resid = eps_hat - eps
-            loss = float(np.mean(w * np.sum(resid ** 2, axis=1)))
-            _, grad = _scaled_grad(m, x_t, t_arr, y, resid, w, sched)
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"nonfinite loss at step {step}: {loss}")
-        m.params = m.params - cfg.eta * grad
-        acc.append(loss)
-        if step % cfg.eval_interval == 0 or step == cfg.steps:
-            curve.append((step, float(np.mean(acc))))
-            acc = []
-    if not curve:
-        curve = [(0, float("nan"))]
-    return TrainReport(loss_curve=curve, final_checksum=float(np.sum(m.params)),
-                       seconds=time.perf_counter() - t0)
+            labels = labels.copy()
+            labels[rng.uniform(size=cfg.batch_size) < cfg.p_drop] = -1  # null label
+        w = _weighted_scale(t_arr, sched) if weighted else None
+        return m.loss_and_grad(x_t, t_arr, labels if conditional else None, eps, sched, w)
 
-
-def _scaled_grad(m, x_t, t_arr, y, resid, w, sched):
-    feats, _ = m._features(x_t, t_arr, y, sched)
-    _, acts = m._forward(feats)
-    return None, m._backward(acts, 2.0 * w[:, None] * resid / resid.shape[0])[0]
+    return _sgd(m, objective, data, sched, cfg, rng)
 
 
 def train_classifier(c, data, sched, cfg, rng):
     """SGD on -log p(y | x_t, t) with (x_t, t) drawn exactly as in train()."""
     if data.labels is None:
         raise ValueError("classifier training needs labelled data")
+    objective = lambda x_t, t_arr, labels, eps: c.nll_and_grad(x_t, t_arr, labels, sched)
+    return _sgd(c, objective, data, sched, cfg, rng)
+
+
+def _sgd(net, objective, data, sched, cfg, rng):
+    """The training loop shared by train and train_classifier.
+
+    Each step draws, in this order, a data batch x0 with its labels, a
+    uniform t per sample and the noise eps.  ``objective(x_t, t, labels,
+    eps)`` may draw further (train's conditional label drop) and returns
+    (loss, parameter gradient); the step is net.params -= eta * gradient.
+    """
     curve, acc, t0 = [], [], time.perf_counter()
     for step in range(1, cfg.steps + 1):
         x0, labels = forward.gmm_sample(data, rng, size=cfg.batch_size)
@@ -114,15 +101,15 @@ def train_classifier(c, data, sched, cfg, rng):
         eps = rng.standard_normal(x0.shape)
         ab = sched.alpha_bar[t_arr][:, None]
         x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-        loss, grad = c.nll_and_grad(x_t, t_arr, labels, sched)
+        loss, grad = objective(x_t, t_arr, labels, eps)
         if not np.isfinite(loss):
             raise FloatingPointError(f"nonfinite loss at step {step}: {loss}")
-        c.params = c.params - cfg.eta * grad
+        net.params = net.params - cfg.eta * grad
         acc.append(loss)
         if step % cfg.eval_interval == 0 or step == cfg.steps:
             curve.append((step, float(np.mean(acc))))
             acc = []
     if not curve:
         curve = [(0, float("nan"))]
-    return TrainReport(loss_curve=curve, final_checksum=float(np.sum(c.params)),
+    return TrainReport(loss_curve=curve, final_checksum=float(np.sum(net.params)),
                        seconds=time.perf_counter() - t0)

@@ -147,3 +147,32 @@ def test_cfg_works_with_deterministic_ddim():
     b = final_states(guided_sample(COND, cfg, g, SCHED, RngState(10)))
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))
+
+
+def reference_classifier_guided_sample(m, c, cfg, y, s, sched, rng):
+    """The classifier-guided loop as written before it ran on sample_reverse."""
+    x = rng.standard_normal((cfg.n_chains, m.data_dim))
+    recorded = [x.copy()]
+    for t in range(sched.T, 0, -1):
+        mu = mu_tilde_from_eps(x, m.predict(x, t, None, sched), t, sched)
+        x = mu + s * sched.beta_tilde[t] * c.grad_x(mu, t, y, sched)
+        if t > 1:
+            x = x + np.sqrt(sched.beta_tilde[t]) * rng.standard_normal(x.shape)
+        if cfg.record or t == 1:
+            recorded.append(x.copy())
+    return np.stack(recorded)
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("n", [1, 7])
+def test_classifier_guided_sample_matches_reference_loop(n, record):
+    cfg = SamplerConfig(kind="ddpm", n_chains=n, record=record)
+    g = GuidanceConfig(mode="classifier", scale=2.5, target=1, classifier=CLS)
+    rng_a, rng_b = RngState(11), RngState(11)
+    a = guided_sample(UNCOND, cfg, g, SCHED, rng_a)
+    b = reference_classifier_guided_sample(UNCOND, CLS, cfg, 1, 2.5, SCHED, rng_b)
+    assert a.shape == (SCHED.T + 1 if record else 2, n, 1)
+    assert np.array_equal(a, b)
+    assert rng_a.normal_draws == rng_b.normal_draws == n * SCHED.T
+    unguided = sample_reverse(UNCOND, cfg, SCHED, rng=RngState(11))
+    assert not np.array_equal(a[-1], unguided[-1])  # the shift is not a no-op here

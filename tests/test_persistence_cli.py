@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import toydiff
+from toydiff import cli
 from toydiff.cli import run_cli
 from toydiff.model import init_classifier, init_noise_predictor
 from toydiff.persistence import load_checkpoint, save_checkpoint, write_csv
@@ -263,3 +264,51 @@ def test_cli_config_file_flag_precedence(tmp_path):
                  "--hidden", "6", "--out", out2]) == 0
     m2, _ = load_checkpoint(out2)
     assert m2.hidden == (6,)  # explicit flag wins over config file
+
+
+def test_cli_train_reads_config_file_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli._read_config
+    monkeypatch.setattr(cli, "_read_config", lambda path: calls.append(path) or real(path))
+    cfgf = tmp_path / "cfg"
+    cfgf.write_text("beta-start=0.001\nbeta-end=0.2\nsteps=10\nbatch=8\neta=0.01\nhidden=4\n")
+    assert run2(["train", "--seed", 9, "--desk", "--config", cfgf,
+                 "--out", tmp_path / "c.ckpt"]) == 0
+    assert calls == [str(cfgf)]
+
+
+def _bad_input(tmp_path, case):
+    """argv for one malformed invocation, with the files it needs."""
+    ckpt = train_small(tmp_path, "m.ckpt")
+    if case == "classifier-guidance-without-classifier":
+        return ["sample", "--seed", 0, "--checkpoint", ckpt, "--guidance", "classifier",
+                "--label", 1, "--out", tmp_path / "s.csv"]
+    if case == "hist-no-data-rows":
+        empty = tmp_path / "empty.csv"
+        empty.write_text("# seed=0\n")
+        return ["hist", "--seed", 0, "--input", empty, "--out", tmp_path / "h.csv"]
+    if case == "hist-zero-bins":
+        samples = tmp_path / "s.csv"
+        assert run2(["sample", "--seed", 0, "--checkpoint", ckpt, "--n", 5,
+                     "--out", samples]) == 0
+        return ["hist", "--seed", 0, "--input", samples, "--bins", 0,
+                "--out", tmp_path / "h.csv"]
+    broken = tmp_path / "broken.ckpt"
+    broken.write_text("".join(l for l in ckpt.read_text().splitlines(keepends=True)
+                              if not l.startswith("hidden=")))
+    return ["sample", "--seed", 0, "--checkpoint", broken, "--out", tmp_path / "s.csv"]
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("classifier-guidance-without-classifier", 1, "--classifier"),
+    ("hist-no-data-rows", 2, "no data rows"),
+    ("hist-zero-bins", 1, "--bins"),
+    ("checkpoint-missing-key", 2, "'hidden'"),
+])
+def test_cli_bad_input_exits_with_message(tmp_path, capsys, case, code, message):
+    argv = _bad_input(tmp_path, case)
+    capsys.readouterr()
+    assert run2(argv) == code   # an escaping exception fails the test here
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "h.csv").exists()

@@ -145,15 +145,28 @@ def test_sample_reverse_rng_draw_count_sigma_zero():
 
 
 def test_sample_reverse_trajectory_recording():
+    # states are (L, n, d) at times T..0 with record on, and at [T, 0] with it off
     cfg = SamplerConfig(kind="ddpm", n_chains=2, record=True)
-    trajs = sample_reverse(MODEL, cfg, SCHED, rng=RngState(10))
-    assert len(trajs) == 2
-    assert trajs[0].states.shape == (SCHED.T + 1, 1)
-    assert trajs[0].times[0] == SCHED.T and trajs[0].times[-1] == 0
+    states = sample_reverse(MODEL, cfg, SCHED, rng=RngState(10))
+    assert states.shape == (SCHED.T + 1, 2, 1)
+    assert np.array_equal(states[0], RngState(10).standard_normal((2, 1)))  # x_T first
+    assert np.array_equal(final_states(states), states[-1])
     cfg2 = SamplerConfig(kind="ddpm", n_chains=1, record=False)
-    tr = sample_reverse(MODEL, cfg2, SCHED, rng=RngState(10))[0]
-    assert tr.states.shape == (2, 1)
-    assert list(tr.times) == [SCHED.T, 0]
+    ends = sample_reverse(MODEL, cfg2, SCHED, rng=RngState(10))
+    assert ends.shape == (2, 1, 1)
+    one = sample_reverse(MODEL, SamplerConfig(kind="ddpm", n_chains=1, record=True),
+                         SCHED, rng=RngState(10))
+    assert np.array_equal(ends, one[[0, -1]])  # recording changes no draw
+
+
+def test_explicit_sigmas_of_wrong_length_fail_before_any_draw():
+    for length in (SCHED.T, SCHED.T + 2):
+        cfg = SamplerConfig(kind="ddim", sigma_policy="explicit",
+                            sigmas=np.zeros(length), n_chains=2)
+        rng = RngState(12)
+        with pytest.raises(ValueError, match="sigmas"):
+            sample_reverse(MODEL, cfg, SCHED, rng=rng)
+        assert rng.normal_draws == 0
 
 
 def test_explicit_sigma_policy_round_trip():

@@ -155,3 +155,61 @@ def test_divergence_raises_floating_point_error():
     m = init_noise_predictor(1, hidden=(8,), rng=RngState(17))
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
         train(m, DATA, SCHED, TrainConfig(steps=2000, eta=50.0), RngState(18))
+
+
+def reference_weighted_train(m, data, sched, cfg, rng):
+    """The weighted-loss loop as written before loss_and_grad took weights:
+    a second forward pass for the residual and a backward pass of the
+    scaled residual through a third one."""
+    conditional = m.conditioning is not None
+    curve, acc = [], []
+    for step in range(1, cfg.steps + 1):
+        x0, labels = gmm_sample(data, rng, size=cfg.batch_size)
+        t_arr = rng.integers(1, sched.T + 1, size=cfg.batch_size)
+        eps = rng.standard_normal(x0.shape)
+        ab = sched.alpha_bar[t_arr][:, None]
+        x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+        y = None
+        if conditional:
+            y = labels.copy()
+            y[rng.uniform(size=cfg.batch_size) < cfg.p_drop] = -1
+        t_safe = np.maximum(t_arr, 2)
+        bt, a, ab_t = sched.beta_tilde[t_safe], sched.alpha[t_safe], sched.alpha_bar[t_safe]
+        w = (1.0 - a) ** 2 / (2.0 * bt * a * (1.0 - ab_t))
+        resid = m.predict(x_t, t_arr, y, sched) - eps
+        loss = float(np.mean(w * np.sum(resid ** 2, axis=1)))
+        feats, _ = m._features(x_t, t_arr, y, sched)
+        _, acts = m._forward(feats)
+        grad = m._backward(acts, 2.0 * w[:, None] * resid / resid.shape[0])[0]
+        m.params = m.params - cfg.eta * grad
+        acc.append(loss)
+        if step % cfg.eval_interval == 0 or step == cfg.steps:
+            curve.append((step, float(np.mean(acc))))
+            acc = []
+    return curve
+
+
+@pytest.mark.parametrize("conditioning", [None, 2])
+def test_weighted_train_matches_reference_loop(conditioning):
+    cfg = TrainConfig(steps=20, batch_size=16, eval_interval=3, loss_variant="weighted")
+    m = init_noise_predictor(1, hidden=(8, 8), conditioning=conditioning, rng=RngState(19))
+    ref = init_noise_predictor(1, hidden=(8, 8), conditioning=conditioning, rng=RngState(19))
+    rng, ref_rng = RngState(20), RngState(20)
+    report = train(m, DATA, SCHED, cfg, rng)
+    ref_curve = reference_weighted_train(ref, DATA, SCHED, cfg, ref_rng)
+    assert np.array_equal(m.params, ref.params)
+    assert report.loss_curve == ref_curve
+    assert rng.normal_draws == ref_rng.normal_draws
+
+
+def test_loss_and_grad_unit_weights_are_bitwise_unweighted():
+    m = init_noise_predictor(1, hidden=(8,), conditioning=2, rng=RngState(21))
+    x, _ = gmm_sample(DATA, RngState(22), size=9)
+    t = np.arange(1, 10)
+    eps = RngState(23).standard_normal((9, 1))
+    y = np.array([0, 1, -1, 0, 1, -1, 0, 1, -1])
+    plain = m.loss_and_grad(x, t, y, eps, SCHED)
+    ones = m.loss_and_grad(x, t, y, eps, SCHED, weights=np.ones(9))
+    assert plain[0] == ones[0] and np.array_equal(plain[1], ones[1])
+    with pytest.raises(ValueError):
+        m.loss_and_grad(x, t, y, eps, SCHED, weights=np.ones(8))
