@@ -7,7 +7,12 @@ which override built-in defaults; the defaults are the canonical
 1000-step linear [1e-4, 0.02] schedule, with --desk switching to the
 desk-scale T=100, [1e-3, 0.2] profile.
 
-Exit codes: 0 success, 1 usage error, 2 domain error.
+run_cli calls each handler with the RngState of --seed and writes the
+(columns, rows) table it returns (train's returns none) to --out or stdout.
+
+Exit codes: 0 success; 1 usage error (a bad flag, a count below 1, a
+malformed vector flag); 2 domain error (a bad schedule, divergence, a
+missing or malformed file, a checkpoint of the wrong kind).
 """
 
 import argparse
@@ -15,8 +20,9 @@ import sys
 
 import numpy as np
 
-from . import estimators, evaluation, forward, gaussian, guidance, losses, persistence, samplers, schedules, training
-from .model import init_classifier, init_noise_predictor
+from . import estimators, forward, gaussian, guidance, losses, persistence, samplers
+from . import schedules, training
+from .model import Classifier, NoisePredictor, init_classifier, init_noise_predictor
 from .persistence import FORMAT_VERSION, write_csv
 from .rng import RngState
 
@@ -67,27 +73,44 @@ def _schedule_from(args):
     raise _UsageError(f"unknown schedule kind: {kind}")
 
 
-def _meta(args, extra=None):
-    flags = {k: v for k, v in sorted(vars(args).items())
+def _meta(args):
+    flags = {f"flag_{k}": v for k, v in sorted(vars(args).items())
              if k not in ("func", "config_values") and v is not None}
-    meta = {"format_version": FORMAT_VERSION}
-    meta.update({f"flag_{k}": v for k, v in flags.items()})
-    if extra:
-        meta.update(extra)
-    return meta
+    return {"format_version": FORMAT_VERSION, **flags, "seed": args.seed}
 
 
-def _parse_vec(s):
-    return np.array([float(v) for v in s.split(",")])
+def _count(text):
+    """argparse type of --n, --M and --bins: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
-def _cmd_train(args):
+def _parse_vec(text, flag, n=None):
+    """The comma-separated numbers of a vector flag; n fixes their count."""
+    try:
+        vec = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise _UsageError(f"{flag} needs comma-separated numbers, got {text!r}")
+    if n is not None and len(vec) != n:
+        raise _UsageError(f"{flag} needs {n} values, got {len(vec)}")
+    return vec
+
+
+def _load(path, kind):
+    """(model, schedule) from the checkpoint at path; the model must be a kind."""
+    m, sched = persistence.load_checkpoint(path)
+    if not isinstance(m, kind):
+        raise ValueError(f"{path} holds a {type(m).__name__}, not a {kind.__name__}")
+    return m, sched
+
+
+def _cmd_train(args, rng):
     sched = _schedule_from(args)
     data = forward.default_mixture()
-    rng = RngState(args.seed)
-    steps = int(_resolve(args, "steps", 5000, int))
     cfg = training.TrainConfig(
-        steps=steps,
+        steps=int(_resolve(args, "steps", 5000, int)),
         batch_size=int(_resolve(args, "batch", 64, int)),
         eta=_resolve(args, "eta", 1e-2),
         p_drop=_resolve(args, "p-drop", 0.1),
@@ -102,111 +125,79 @@ def _cmd_train(args):
         report = training.train(m, data, sched, cfg, rng.spawn(2))
     persistence.save_checkpoint(m, sched, args.out, seed_note=f"seed={args.seed}")
     if args.loss_csv:
-        write_csv(args.loss_csv, ["step", "loss"],
-                  [(s, l) for s, l in report.loss_curve], _meta(args, {"seed": args.seed}))
-    return 0
+        write_csv(args.loss_csv, ["step", "loss"], report.loss_curve, _meta(args))
 
 
-def _cmd_sample(args):
+def _cmd_sample(args, rng):
     if args.guidance == "classifier" and args.classifier is None:
         raise _UsageError("--guidance classifier needs --classifier")
-    m, sched = persistence.load_checkpoint(args.checkpoint)
-    rng = RngState(args.seed)
+    m, sched = _load(args.checkpoint, NoisePredictor)
+    c = _load(args.classifier, Classifier)[0] if args.guidance == "classifier" else None
     cfg = samplers.SamplerConfig(kind=args.sampler, sigma_policy=args.sigma,
                                  n_chains=args.n)
-    if args.guidance == "none":
-        states = samplers.sample_reverse(m, cfg, sched, y=args.label, rng=rng)
-    elif args.guidance == "cfg":
-        g = guidance.GuidanceConfig(mode="classifier-free", scale=args.scale,
-                                    target=args.label)
-        states = guidance.guided_sample(m, cfg, g, sched, rng)
-    else:
-        c, _ = persistence.load_checkpoint(args.classifier)
-        g = guidance.GuidanceConfig(mode="classifier", scale=args.scale,
-                                    target=args.label, classifier=c)
-        states = guidance.guided_sample(m, cfg, g, sched, rng)
-    x0 = samplers.final_states(states)
-    cols = ["chain", "t"] + [f"dim{i}" for i in range(m.data_dim)]
-    rows = [(i, 0, *x0[i]) for i in range(len(x0))]
-    if args.label is not None:
-        cols.append("label")
-        rows = [r + (args.label,) for r in rows]
-    if args.guidance != "none":
-        cols.append("guidance_scale")
-        rows = [r + (float(args.scale),) for r in rows]
-    write_csv(args.out or sys.stdout, cols, rows, _meta(args, {"seed": args.seed}))
-    return 0
+    mode = {"cfg": "classifier-free"}.get(args.guidance, args.guidance)
+    g = guidance.GuidanceConfig(mode=mode, scale=args.scale, target=args.label, classifier=c)
+    x0 = samplers.final_states(guidance.guided_sample(m, cfg, g, sched, rng))
+    extra = {"label": args.label,
+             "guidance_scale": None if args.guidance == "none" else float(args.scale)}
+    extra = {k: v for k, v in extra.items() if v is not None}
+    cols = ["chain", "t"] + [f"dim{i}" for i in range(m.data_dim)] + list(extra)
+    return cols, [(i, 0, *x, *extra.values()) for i, x in enumerate(x0)]
 
 
-def _cmd_forward(args):
+def _cmd_forward(args, rng):
+    x0 = _parse_vec(args.x0, "--x0")
     sched = _schedule_from(args)
-    rng = RngState(args.seed)
-    x0 = _parse_vec(args.x0)
-    rows, cols = [], None
+    cols = ["chain", "t"] + [f"dim{i}" for i in range(len(x0))]
+    rows = []
     for chain in range(args.n):
         tr = forward.simulate_forward(x0, sched, rng.spawn(chain))
-        cols = ["chain", "t"] + [f"dim{i}" for i in range(tr.states.shape[1])]
         rows.extend((chain, int(t), *s) for t, s in zip(tr.times, tr.states))
-    write_csv(args.out or sys.stdout, cols, rows, _meta(args, {"seed": args.seed}))
-    return 0
+    return cols, rows
 
 
-def _cmd_vlb(args):
-    m, sched = persistence.load_checkpoint(args.checkpoint)
-    rng = RngState(args.seed)
-    rep = losses.vlb_estimate(m, _parse_vec(args.x0), sched, args.M, rng)
+def _cmd_vlb(args, rng):
+    x0 = _parse_vec(args.x0, "--x0")
+    m, sched = _load(args.checkpoint, NoisePredictor)
+    rep = losses.vlb_estimate(m, x0, sched, args.M, rng)
     rows = [("L0", 1, rep.L0)]
     rows += [("Lt", t, rep.Lt[t - 2]) for t in range(2, sched.T + 1)]
     rows += [("LT", sched.T, rep.LT), ("total", -1, rep.total)]
-    write_csv(args.out or sys.stdout, ["term", "t", "nats"], rows,
-              _meta(args, {"seed": args.seed}))
-    return 0
+    return ["term", "t", "nats"], rows
 
 
-def _cmd_kl_demo(args):
-    mq, vq = _parse_vec(args.q)
-    mp, vp = _parse_vec(args.p)
+def _cmd_kl_demo(args, rng):
+    mq, vq = _parse_vec(args.q, "--q", 2)
+    mp, vp = _parse_vec(args.p, "--p", 2)
     q = gaussian.DiagGaussian([mq], [vq])
     p = gaussian.DiagGaussian([mp], [vp])
     closed = gaussian.kl_closed_form(q, p)
-    rng = RngState(args.seed)
-    rows = []
-    for M in (10, 100, 1000, 10000, args.M):
-        rows.append((M, closed, gaussian.kl_mc(q, p, M, rng)))
-    write_csv(args.out or sys.stdout, ["M", "closed_form", "mc_estimate"], rows,
-              _meta(args, {"seed": args.seed}))
-    return 0
+    rows = [(M, closed, gaussian.kl_mc(q, p, M, rng)) for M in (10, 100, 1000, 10000, args.M)]
+    return ["M", "closed_form", "mc_estimate"], rows
 
 
-def _cmd_reparam_demo(args):
-    theta = _parse_vec(args.theta)
-    rng = RngState(args.seed)
-    rows = []
-    for M in (100, 1000, 10000, args.M):
-        g = estimators.reparam_grad(theta, M, rng.spawn(M))
-        rows.append((M, g[0], g[1]))
-    write_csv(args.out or sys.stdout, ["M", "grad_theta1", "grad_theta2"], rows,
-              _meta(args, {"seed": args.seed}))
-    return 0
+def _cmd_reparam_demo(args, rng):
+    theta = _parse_vec(args.theta, "--theta", 2)
+    rows = [(M, *estimators.reparam_grad(theta, M, rng.spawn(M)))
+            for M in (100, 1000, 10000, args.M)]
+    return ["M", "grad_theta1", "grad_theta2"], rows
 
 
-def _cmd_hist(args):
-    if args.bins < 1:
-        raise _UsageError(f"--bins must be >= 1, got {args.bins}")
+def _cmd_hist(args, rng):
     with open(args.input) as fh:
         lines = [l for l in fh.read().splitlines() if l and not l.startswith("#")]
     if len(lines) < 2:
         raise ValueError(f"{args.input}: no data rows to histogram")
     header = lines[0].split(",")
     col = header.index("dim0")
-    vals = np.array([float(l.split(",")[col]) for l in lines[1:]])
-    edges = np.linspace(vals.min(), vals.max(), args.bins + 1)
-    counts, edges = np.histogram(vals, bins=edges)
-    rows = [(float(edges[i]), float(edges[i + 1]), int(counts[i]))
-            for i in range(len(counts))]
-    write_csv(args.out or sys.stdout, ["lo", "hi", "count"], rows,
-              _meta(args, {"seed": args.seed}))
-    return 0
+    try:
+        vals = np.array([float(l.split(",")[col]) for l in lines[1:]])
+    except IndexError:
+        raise ValueError(f"{args.input}: a data row has no dim0 field")
+    # numpy's rule: equal-width bins over [min, max], or [v - 0.5, v + 0.5] if all equal v
+    counts, edges = np.histogram(vals, bins=args.bins)
+    rows = list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
+    return ["lo", "hi", "count"], rows
 
 
 def _add_schedule_flags(p):
@@ -228,6 +219,7 @@ def build_parser():
     def add(name, fn):
         p = sub.add_parser(name)
         p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", required=name == "train")
         p.set_defaults(func=fn)
         return p
 
@@ -241,47 +233,40 @@ def build_parser():
     p.add_argument("--conditional", action="store_true")
     p.add_argument("--classifier", action="store_true",
                    help="train the class predictor instead of the noise predictor")
-    p.add_argument("--out", required=True)
     p.add_argument("--loss-csv", default=None)
 
     p = add("sample", _cmd_sample)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--sampler", choices=["ddpm", "ddim"], default="ddpm")
     p.add_argument("--sigma", choices=["zero", "ddpm"], default="zero")
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=_count, default=100)
     p.add_argument("--label", type=int, default=None)
     p.add_argument("--guidance", choices=["none", "cfg", "classifier"], default="none")
     p.add_argument("--scale", type=float, default=0.0)
     p.add_argument("--classifier", default=None, help="classifier checkpoint path")
-    p.add_argument("--out", default=None)
 
     p = add("forward", _cmd_forward)
     _add_schedule_flags(p)
     p.add_argument("--x0", required=True, help="comma-separated start vector")
-    p.add_argument("--n", type=int, default=1, help="number of trajectories")
-    p.add_argument("--out", default=None)
+    p.add_argument("--n", type=_count, default=1, help="number of trajectories")
 
     p = add("vlb", _cmd_vlb)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--x0", required=True)
-    p.add_argument("--M", type=int, default=1)
-    p.add_argument("--out", default=None)
+    p.add_argument("--M", type=_count, default=1)
 
     p = add("kl-demo", _cmd_kl_demo)
     p.add_argument("--q", required=True, help="mean,var of q")
     p.add_argument("--p", required=True, help="mean,var of p")
-    p.add_argument("--M", type=int, default=100000)
-    p.add_argument("--out", default=None)
+    p.add_argument("--M", type=_count, default=100000)
 
     p = add("reparam-demo", _cmd_reparam_demo)
     p.add_argument("--theta", default="0.5,1.5")
-    p.add_argument("--M", type=int, default=100000)
-    p.add_argument("--out", default=None)
+    p.add_argument("--M", type=_count, default=100000)
 
     p = add("hist", _cmd_hist)
     p.add_argument("--input", required=True)
-    p.add_argument("--bins", type=int, default=40)
-    p.add_argument("--out", default=None)
+    p.add_argument("--bins", type=_count, default=40)
 
     return ap
 
@@ -292,7 +277,10 @@ def run_cli(argv):
         args = ap.parse_args(argv)
         config = getattr(args, "config", None)
         args.config_values = _read_config(config) if config else {}
-        return args.func(args)
+        table = args.func(args, RngState(args.seed))
+        if table is not None:
+            write_csv(args.out or sys.stdout, *table, _meta(args))
+        return 0
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         ap.print_usage(sys.stderr)

@@ -62,14 +62,15 @@ def cfg_eps(m, x, t, y, s, sched):
 def guided_sample(m, cfg, g, sched, rng):
     """Reverse sampling under a GuidanceConfig; returns the (L, n, d) states.
 
-    mode "none" is exactly samplers.sample_reverse.  Classifier mode
+    mode "none" is samplers.sample_reverse with y = g.target (unguided,
+    conditional when a target is given).  Classifier mode
     passes the classifier shift as the DDPM step's mean-shift hook and
     raises ValueError for DDIM before any draw; classifier-free mode
     swaps the noise prediction for cfg_eps inside either sampler.  The
     states are laid out as in sample_reverse.
     """
     if g.mode == "none":
-        return samplers.sample_reverse(m, cfg, sched, rng=rng)
+        return samplers.sample_reverse(m, cfg, sched, y=g.target, rng=rng)
     if g.mode == "classifier-free":
         eps_fn = lambda x, t: cfg_eps(m, x, t, g.target, g.scale, sched)
         return samplers.sample_reverse(m, cfg, sched, rng=rng, eps_fn=eps_fn)

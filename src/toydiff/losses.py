@@ -1,9 +1,9 @@
 """Loss family: eps/x0 conversions, weighted losses, and the variational bound.
 
 The weighted losses carry the exact per-step coefficients from the KL
-reduction; training itself uses the unweighted simple loss.  t = 1 is
+reduction; training's weighted variant reads eps_kl_weight.  t = 1 is
 rejected by the weighted forms because beta_tilde_1 = 0 makes the weight
-undefined; the training path never hits that singularity.
+undefined; training gives t = 1 the t = 2 weight.
 """
 
 from dataclasses import dataclass
@@ -51,13 +51,18 @@ def loss_x0_weighted(x0_hat, x0, t, sched):
     return float(w * np.sum((np.asarray(x0_hat) - np.asarray(x0)) ** 2))
 
 
+def eps_kl_weight(t, sched):
+    """The eps-form KL weight (1-alpha)^2 / (2 bt alpha (1-abar)) at a scalar or array t >= 2."""
+    bt, a, ab = sched.beta_tilde[t], sched.alpha[t], sched.alpha_bar[t]
+    return (1.0 - a) ** 2 / (2.0 * bt * a * (1.0 - ab))
+
+
 def loss_eps_weighted(eps_hat, eps, t, sched):
-    """KL-derived loss on the noise prediction, weight (1-alpha)^2 / (2 bt alpha (1-abar))."""
+    """KL-derived loss on the noise prediction, weighted by eps_kl_weight."""
     if t < 2:
         raise ValueError("t=1 has beta_tilde=0; weighted loss undefined")
     check_t(t, sched)
-    bt, a, ab = sched.beta_tilde[t], sched.alpha[t], sched.alpha_bar[t]
-    w = (1.0 / (2.0 * bt)) * (1.0 - a) ** 2 / (a * (1.0 - ab))
+    w = eps_kl_weight(t, sched)
     return float(w * np.sum((np.asarray(eps_hat) - np.asarray(eps)) ** 2))
 
 

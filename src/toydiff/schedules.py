@@ -31,7 +31,7 @@ class Schedule:
 
 def _build(T, beta, kind, args):
     beta = np.asarray(beta, dtype=np.float64)
-    if np.any(beta <= 0.0) or np.any(beta >= 1.0):
+    if not np.all((beta > 0.0) & (beta < 1.0)):  # NaN fails too
         raise ValueError("beta: every beta_t must lie in (0, 1)")
     alpha = 1.0 - beta
     alpha_bar = np.empty(T + 1)
@@ -66,7 +66,7 @@ def make_cosine_schedule(T, offset=0.008):
     """
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ValueError("T: step count must be an integer >= 1")
-    if offset <= 0.0:
+    if not offset > 0.0:
         raise ValueError("offset: must be > 0")
     t = np.arange(T + 1, dtype=np.float64)
     f = np.cos(((t / T + offset) / (1.0 + offset)) * (np.pi / 2.0)) ** 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forward
+from . import forward, losses
 
 
 @dataclass(frozen=True)
@@ -46,16 +46,6 @@ class TrainReport:
     seconds: float
 
 
-def _weighted_scale(t_arr, sched):
-    # per-sample weight of the eps-form KL loss; t=1 entries get the t=2 weight
-    # so the weighted variant stays defined on the full uniform-t draw
-    t_safe = np.maximum(t_arr, 2)
-    bt = sched.beta_tilde[t_safe]
-    a = sched.alpha[t_safe]
-    ab = sched.alpha_bar[t_safe]
-    return (1.0 - a) ** 2 / (2.0 * bt * a * (1.0 - ab))
-
-
 def train(m, data, sched, cfg, rng):
     """One-sample-per-line SGD on the noise-prediction loss (batched mean).
 
@@ -72,7 +62,8 @@ def train(m, data, sched, cfg, rng):
         if conditional:
             labels = labels.copy()
             labels[rng.uniform(size=cfg.batch_size) < cfg.p_drop] = -1  # null label
-        w = _weighted_scale(t_arr, sched) if weighted else None
+        # t = 1 (beta_tilde = 0) gets the t = 2 weight, so every uniform draw is defined
+        w = losses.eps_kl_weight(np.maximum(t_arr, 2), sched) if weighted else None
         return m.loss_and_grad(x_t, t_arr, labels if conditional else None, eps, sched, w)
 
     return _sgd(m, objective, data, sched, cfg, rng)

@@ -287,6 +287,26 @@ def _bad_input(tmp_path, case):
         empty = tmp_path / "empty.csv"
         empty.write_text("# seed=0\n")
         return ["hist", "--seed", 0, "--input", empty, "--out", tmp_path / "h.csv"]
+    if case == "reparam-theta-one-value":
+        return ["reparam-demo", "--seed", 0, "--theta", "1", "--M", 10]
+    if case == "kl-q-one-value":
+        return ["kl-demo", "--seed", 0, "--q", "1", "--p", "0,4", "--M", 10]
+    if case == "forward-zero-chains":
+        return ["forward", "--seed", 0, "--desk", "--x0", "1", "--n", 0]
+    if case == "sample-classifier-checkpoint":
+        cls = train_small(tmp_path, "cls.ckpt", ["--classifier"])
+        return ["sample", "--seed", 0, "--checkpoint", cls, "--out", tmp_path / "s.csv"]
+    if case == "vlb-classifier-checkpoint":
+        cls = train_small(tmp_path, "cls.ckpt", ["--classifier"])
+        return ["vlb", "--seed", 0, "--checkpoint", cls, "--x0", 0.5,
+                "--out", tmp_path / "v.csv"]
+    if case == "classifier-flag-noise-predictor":
+        return ["sample", "--seed", 0, "--checkpoint", ckpt, "--guidance", "classifier",
+                "--classifier", ckpt, "--label", 1, "--out", tmp_path / "s.csv"]
+    if case == "hist-short-row":
+        short = tmp_path / "short.csv"
+        short.write_text("# seed=0\nchain,t,dim0\n0,0\n1,0,2.5\n")
+        return ["hist", "--seed", 0, "--input", short, "--out", tmp_path / "h.csv"]
     if case == "hist-zero-bins":
         samples = tmp_path / "s.csv"
         assert run2(["sample", "--seed", 0, "--checkpoint", ckpt, "--n", 5,
@@ -304,6 +324,13 @@ def _bad_input(tmp_path, case):
     ("hist-no-data-rows", 2, "no data rows"),
     ("hist-zero-bins", 1, "--bins"),
     ("checkpoint-missing-key", 2, "'hidden'"),
+    ("reparam-theta-one-value", 1, "--theta"),
+    ("kl-q-one-value", 1, "--q"),
+    ("forward-zero-chains", 1, "--n"),
+    ("sample-classifier-checkpoint", 2, "not a NoisePredictor"),
+    ("vlb-classifier-checkpoint", 2, "not a NoisePredictor"),
+    ("classifier-flag-noise-predictor", 2, "not a Classifier"),
+    ("hist-short-row", 2, "no dim0 field"),
 ])
 def test_cli_bad_input_exits_with_message(tmp_path, capsys, case, code, message):
     argv = _bad_input(tmp_path, case)
@@ -312,3 +339,15 @@ def test_cli_bad_input_exits_with_message(tmp_path, capsys, case, code, message)
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "h.csv").exists()
+    assert capsys.readouterr().out == ""   # no partial table on stdout
+
+
+def test_cli_hist_constant_column_has_no_zero_width_bin(tmp_path):
+    const = tmp_path / "const.csv"
+    const.write_text("# seed=0\nchain,t,dim0\n0,0,1.5\n1,0,1.5\n")
+    out = tmp_path / "h.csv"
+    assert run2(["hist", "--seed", 0, "--input", const, "--bins", 4, "--out", out]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()
+            if not l.startswith("#")][1:]
+    assert len(rows) == 4 and all(float(lo) < float(hi) for lo, hi, _ in rows)
+    assert sum(int(c) for _, _, c in rows) == 2

@@ -62,6 +62,8 @@ def test_cosine_validation_errors():
         make_cosine_schedule(0, 0.008)
     with pytest.raises(ValueError):
         make_cosine_schedule(10, 0.0)
+    with pytest.raises(ValueError, match="offset"):
+        make_cosine_schedule(10, float("nan"))
 
 
 @pytest.mark.parametrize("make", [
