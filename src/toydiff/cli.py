@@ -11,8 +11,8 @@ run_cli calls each handler with the RngState of --seed and writes the
 (columns, rows) table it returns (train's returns none) to --out or stdout.
 
 Exit codes: 0 success; 1 usage error (a bad flag, a count below 1, a
-malformed vector flag); 2 domain error (a bad schedule, divergence, a
-missing or malformed file, a checkpoint of the wrong kind).
+malformed or non-finite vector flag); 2 domain error (a bad setting or
+path, divergence, a missing or malformed file, a checkpoint of the wrong kind).
 """
 
 import argparse
@@ -95,6 +95,8 @@ def _parse_vec(text, flag, n=None):
         raise _UsageError(f"{flag} needs comma-separated numbers, got {text!r}")
     if n is not None and len(vec) != n:
         raise _UsageError(f"{flag} needs {n} values, got {len(vec)}")
+    if not np.all(np.isfinite(vec)):
+        raise _UsageError(f"{flag} needs finite numbers, got {text!r}")
     return vec
 
 
@@ -107,6 +109,8 @@ def _load(path, kind):
 
 
 def _cmd_train(args, rng):
+    if "" in (args.out, args.loss_csv):  # fail before training, not at the first write
+        raise ValueError("--out and --loss-csv need a non-empty path")
     sched = _schedule_from(args)
     data = forward.default_mixture()
     cfg = training.TrainConfig(
@@ -124,7 +128,7 @@ def _cmd_train(args, rng):
         m = init_noise_predictor(data.dim, hidden, cond, rng.spawn(1))
         report = training.train(m, data, sched, cfg, rng.spawn(2))
     persistence.save_checkpoint(m, sched, args.out, seed_note=f"seed={args.seed}")
-    if args.loss_csv:
+    if args.loss_csv is not None:
         write_csv(args.loss_csv, ["step", "loss"], report.loss_curve, _meta(args))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import DiagGaussian, _LOG_2PI
+from .gaussian import DiagGaussian, log_pdf
 from .schedules import check_t
 
 
@@ -93,14 +93,15 @@ def marginal_q(x0, t, sched):
 def sample_xt(x0, t, sched, rng):
     """Draw x_t directly from x_0 and return both x_t and the eps used.
 
-    The pair satisfies x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps exactly,
-    which is what the training loop consumes.
+    The pair satisfies x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps exactly.
+    An array t, as the training loop passes, holds one step per row of x0.
     """
     check_t(t, sched)
     x0 = np.asarray(x0, dtype=np.float64)
     eps = rng.standard_normal(x0.shape)
-    xt = np.sqrt(sched.alpha_bar[t]) * x0 + np.sqrt(1.0 - sched.alpha_bar[t]) * eps
-    return xt, eps
+    ab = sched.alpha_bar[t]
+    ab = ab[:, None] if ab.ndim else ab
+    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps, eps
 
 
 def posterior_q(x_t, x0, t, sched):
@@ -143,11 +144,7 @@ def gmm_sample(spec, rng, size=None):
 def gmm_log_pdf(spec, x):
     """log sum_k w_k N(x; mu_k, v_k) via a stable log-sum-exp."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if x.shape[-1] != spec.dim:
-        raise ValueError("dimension mismatch between x and spec")
-    xb = x[..., None, :]  # (..., K, d)
-    q = (xb - spec.means) ** 2 / spec.vars
-    comp_lp = -0.5 * np.sum(_LOG_2PI + np.log(spec.vars) + q, axis=-1)
-    comp_lp = comp_lp + np.log(spec.weights)
+    components = DiagGaussian(spec.means, spec.vars)
+    comp_lp = log_pdf(components, x[..., None, :]) + np.log(spec.weights)  # (..., K)
     m = np.max(comp_lp, axis=-1, keepdims=True)
     return np.squeeze(m, -1) + np.log(np.sum(np.exp(comp_lp - m), axis=-1))

@@ -15,6 +15,7 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class DiagGaussian:
+    """N(mean, diag(var)); a (K, d) mean and var stack K Gaussians for log_pdf."""
     mean: np.ndarray
     var: np.ndarray
 
@@ -32,7 +33,7 @@ class DiagGaussian:
 
     @property
     def dim(self):
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
 
 def log_pdf(g, x):

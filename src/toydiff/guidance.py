@@ -25,7 +25,7 @@ class GuidanceConfig:
     def __post_init__(self):
         if self.mode not in ("none", "classifier", "classifier-free"):
             raise ValueError("mode must be 'none', 'classifier' or 'classifier-free'")
-        if self.scale < 0.0:
+        if not self.scale >= 0.0:  # NaN fails too
             raise ValueError("scale must be >= 0")
         if self.mode != "none" and self.target is None:
             raise ValueError("guided modes need a target class")
@@ -33,21 +33,14 @@ class GuidanceConfig:
             raise ValueError("classifier mode needs a classifier")
 
 
-def _classifier_shift(c, y, s, sched):
-    """The mean-shift hook mu, t -> s * beta_tilde_t * grad_x log p(y | mu, t)."""
-    return lambda mu, t: s * sched.beta_tilde[t] * c.grad_x(mu, t, y, sched)
+def classifier_shift(c, y, s, sched):
+    """The DDPM mean-shift hook mu, t -> s * beta_tilde_t * grad_x log p(y | mu, t).
 
-
-def guided_ddpm_step(m, c, x_t, t, y, s, sched, rng):
-    """DDPM step with the mean nudged toward class y.
-
-    The shift is s * beta_tilde_t * grad_x log p(y | x, t) at the
-    unguided mean; the covariance is untouched.
+    The classifier-guided step is samplers.ddpm_step(..., shift=classifier_shift(...)).
     """
-    if s < 0.0:
+    if not s >= 0.0:  # NaN fails too
         raise ValueError("s must be >= 0")
-    return samplers.ddpm_step(m, x_t, t, sched, rng=rng,
-                              shift=_classifier_shift(c, y, s, sched))
+    return lambda mu, t: s * sched.beta_tilde[t] * c.grad_x(mu, t, y, sched)
 
 
 def cfg_eps(m, x, t, y, s, sched):
@@ -74,5 +67,5 @@ def guided_sample(m, cfg, g, sched, rng):
     if g.mode == "classifier-free":
         eps_fn = lambda x, t: cfg_eps(m, x, t, g.target, g.scale, sched)
         return samplers.sample_reverse(m, cfg, sched, rng=rng, eps_fn=eps_fn)
-    shift = _classifier_shift(g.classifier, g.target, g.scale, sched)
+    shift = classifier_shift(g.classifier, g.target, g.scale, sched)
     return samplers.sample_reverse(m, cfg, sched, rng=rng, shift=shift)

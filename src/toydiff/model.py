@@ -13,6 +13,7 @@ models, a one-hot label block with a dedicated null slot.
 import numpy as np
 
 from .rng import RngState
+from .schedules import check_t
 
 N_TIME_FEATURES = 4
 
@@ -26,22 +27,51 @@ def time_features(t, sched):
                      np.cos(2.0 * np.pi * frac), lvl], axis=-1)
 
 
+def _widths(data_dim, hidden, out_dim, conditioning):
+    """(layer widths, parameter count) of the MLP: features, hidden..., head."""
+    if data_dim < 1 or out_dim < 1 or any(w < 1 for w in hidden):
+        raise ValueError("all layer widths must be >= 1")
+    n_in = data_dim + N_TIME_FEATURES + (0 if conditioning is None else conditioning + 1)
+    widths = (n_in,) + tuple(hidden) + (out_dim,)
+    return widths, sum(a * b + b for a, b in zip(widths, widths[1:]))
+
+
+def _layers(p, widths):
+    """Views (W, b) per layer into the flat parameter array p."""
+    out, off = [], 0
+    for n_in, n_out in zip(widths, widths[1:]):
+        end = off + n_in * n_out
+        out.append((p[off:end].reshape(n_in, n_out), p[end:end + n_out]))
+        off = end + n_out
+    return out
+
+
+def _init_params(widths, n_params, rng):
+    """uniform(+-1/sqrt(fan_in)) weights and zero biases, drawn layer by layer."""
+    rng = rng if rng is not None else RngState(0)
+    p = np.zeros(n_params)
+    for W, _ in _layers(p, widths):
+        W[...] = rng.uniform(-1.0, 1.0, W.shape) / np.sqrt(W.shape[0])
+    return p
+
+
+def _log_softmax(logits):
+    """Row-wise log-softmax through the max-shifted log-sum-exp."""
+    m = logits.max(axis=1, keepdims=True)
+    return logits - (m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True)))
+
+
 class _Network:
     """Shared MLP core: tanh hidden layers, head chosen by subclass."""
 
     def __init__(self, data_dim, hidden, out_dim, conditioning, params):
-        if data_dim < 1 or out_dim < 1 or any(w < 1 for w in hidden):
-            raise ValueError("all layer widths must be >= 1")
         self.data_dim = int(data_dim)
         self.hidden = tuple(int(w) for w in hidden)
         self.out_dim = int(out_dim)
         self.conditioning = None if conditioning is None else int(conditioning)
-        self.in_features = (self.data_dim + N_TIME_FEATURES
-                            + (0 if self.conditioning is None else self.conditioning + 1))
-        widths = (self.in_features,) + self.hidden + (self.out_dim,)
-        self._widths = widths
-        self.n_params = sum(widths[i] * widths[i + 1] + widths[i + 1]
-                            for i in range(len(widths) - 1))
+        self.widths, self.n_params = _widths(self.data_dim, self.hidden, self.out_dim,
+                                             self.conditioning)
+        self.in_features = self.widths[0]
         params = np.asarray(params, dtype=np.float64)
         if params.shape != (self.n_params,):
             raise ValueError(f"params must be a flat array of length {self.n_params}")
@@ -49,18 +79,8 @@ class _Network:
             raise ValueError("params must be finite")
         self.params = params
 
-    def _layers(self, params=None):
-        """Views (W, b) per layer into the flat parameter array."""
-        p = self.params if params is None else params
-        out, off = [], 0
-        w = self._widths
-        for i in range(len(w) - 1):
-            n_w, n_b = w[i] * w[i + 1], w[i + 1]
-            W = p[off:off + n_w].reshape(w[i], w[i + 1])
-            b = p[off + n_w:off + n_w + n_b]
-            out.append((W, b))
-            off += n_w + n_b
-        return out
+    def _layers(self):
+        return _layers(self.params, self.widths)
 
     def _features(self, x, t, y, sched):
         x = np.asarray(x, dtype=np.float64)
@@ -70,12 +90,7 @@ class _Network:
             raise ValueError("dimension mismatch between x and model")
         n = xb.shape[0]
         ts = np.asarray(t, dtype=np.int64)
-        if ts.ndim == 0:  # every sampler step: one comparison, one encoding
-            ok = 1 <= ts <= sched.T
-        else:
-            ok = not (np.any(ts < 1) or np.any(ts > sched.T))
-        if not ok:
-            raise ValueError("t out of range [1, T]")
+        check_t(ts if ts.ndim else t, sched)  # a 0-d array compares ~20x slower than an int
         cols = [xb, np.broadcast_to(time_features(ts, sched), (n, N_TIME_FEATURES))]
         if self.conditioning is None:
             if y is not None:
@@ -179,10 +194,7 @@ class Classifier(_Network):
 
     def log_probs(self, x, t, sched):
         feats, squeeze = self._features(x, t, None, sched)
-        logits, _ = self._forward(feats)
-        m = logits.max(axis=1, keepdims=True)
-        logz = m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))
-        lp = logits - logz
+        lp = _log_softmax(self._forward(feats)[0])
         return lp[0] if squeeze else lp
 
     def grad_x(self, x, t, y, sched):
@@ -208,9 +220,7 @@ class Classifier(_Network):
         if y.shape != (n,) or np.any(y < 0) or np.any(y >= self.n_classes):
             raise ValueError("labels out of range")
         logits, acts = self._forward(feats)
-        m = logits.max(axis=1, keepdims=True)
-        logz = m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))
-        lp = logits - logz
+        lp = _log_softmax(logits)
         loss = float(-np.mean(lp[np.arange(n), y]))
         p = np.exp(lp)
         d_logits = p
@@ -222,30 +232,11 @@ class Classifier(_Network):
 def init_noise_predictor(data_dim, hidden=(64, 64), conditioning=None, rng=None,
                          skip=True):
     """Fresh noise predictor: uniform(+-1/sqrt(fan_in)) weights, zero biases."""
-    rng = rng if rng is not None else RngState(0)
-    shell = NoisePredictor(data_dim, hidden, conditioning, _zeros_for(
-        data_dim, hidden, data_dim, conditioning), skip=skip)
-    _fill(shell, rng)
-    return shell
+    params = _init_params(*_widths(data_dim, hidden, data_dim, conditioning), rng)
+    return NoisePredictor(data_dim, hidden, conditioning, params, skip=skip)
 
 
 def init_classifier(data_dim, n_classes, hidden=(64, 64), rng=None):
     """Fresh classifier with the same initialization scheme."""
-    rng = rng if rng is not None else RngState(0)
-    shell = Classifier(data_dim, hidden, n_classes, _zeros_for(
-        data_dim, hidden, n_classes, None))
-    _fill(shell, rng)
-    return shell
-
-
-def _zeros_for(data_dim, hidden, out_dim, conditioning):
-    in_features = data_dim + N_TIME_FEATURES + (0 if conditioning is None else conditioning + 1)
-    widths = (in_features,) + tuple(hidden) + (out_dim,)
-    n = sum(widths[i] * widths[i + 1] + widths[i + 1] for i in range(len(widths) - 1))
-    return np.zeros(n)
-
-
-def _fill(net, rng):
-    for W, b in net._layers():
-        W[...] = rng.uniform(-1.0, 1.0, W.shape) / np.sqrt(W.shape[0])
-        b[...] = 0.0
+    params = _init_params(*_widths(data_dim, hidden, n_classes, None), rng)
+    return Classifier(data_dim, hidden, n_classes, params)

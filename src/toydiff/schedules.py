@@ -77,8 +77,12 @@ def make_cosine_schedule(T, offset=0.008):
 
 
 def check_t(t, sched, lo=1):
-    """Raise ValueError unless lo <= t <= sched.T."""
-    if not lo <= t <= sched.T:
+    """Raise ValueError unless lo <= t <= sched.T, for every entry of an array t."""
+    if getattr(t, "ndim", 0):  # a plain comparison is ~10x cheaper than np.ndim on an int
+        ok = t.size == 0 or lo <= t.min() and t.max() <= sched.T
+    else:
+        ok = lo <= t <= sched.T
+    if not ok:
         raise ValueError(f"t={t} out of range [{lo}, {sched.T}]")
 
 

@@ -29,7 +29,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0 or self.batch_size < 1:
             raise ValueError("steps must be >= 0 and batch_size >= 1")
-        if self.eta < 0.0:
+        if not self.eta >= 0.0:  # NaN fails too
             raise ValueError("eta must be >= 0")
         if not 0.0 <= self.p_drop <= 1.0:
             raise ValueError("p_drop must lie in [0, 1]")
@@ -89,9 +89,7 @@ def _sgd(net, objective, data, sched, cfg, rng):
     for step in range(1, cfg.steps + 1):
         x0, labels = forward.gmm_sample(data, rng, size=cfg.batch_size)
         t_arr = rng.integers(1, sched.T + 1, size=cfg.batch_size)
-        eps = rng.standard_normal(x0.shape)
-        ab = sched.alpha_bar[t_arr][:, None]
-        x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+        x_t, eps = forward.sample_xt(x0, t_arr, sched, rng)
         loss, grad = objective(x_t, t_arr, labels, eps)
         if not np.isfinite(loss):
             raise FloatingPointError(f"nonfinite loss at step {step}: {loss}")

@@ -77,6 +77,20 @@ def test_sample_xt_identity_and_determinism():
     assert np.array_equal(xt, xt2) and np.array_equal(eps, eps2)
 
 
+def test_sample_xt_array_t_equals_row_by_row_scalar_calls():
+    s = make_linear_schedule(50, 1e-4, 0.02)
+    x0 = np.random.default_rng(1).normal(size=(6, 2))
+    t = np.array([1, 50, 17, 17, 3, 29])
+    rng_a, rng_b = RngState(5), RngState(5)
+    xt, eps = sample_xt(x0, t, s, rng_a)
+    rows = [sample_xt(x0[i], int(t[i]), s, rng_b) for i in range(len(t))]
+    assert np.array_equal(xt, np.stack([r[0] for r in rows]))
+    assert np.array_equal(eps, np.stack([r[1] for r in rows]))
+    assert rng_a.normal_draws == rng_b.normal_draws == x0.size
+    with pytest.raises(ValueError):
+        sample_xt(x0, np.array([1, 2, 3, 51, 4, 5]), s, rng_a)
+
+
 def test_sample_xt_moments():
     s = make_linear_schedule(50, 1e-4, 0.02)
     n = 10**6

@@ -38,6 +38,13 @@ def test_log_pdf_rejects_zero_variance_and_dim_mismatch():
         log_pdf(DiagGaussian([0.0, 0.0], [1.0, 1.0]), [0.0])
 
 
+def test_dim_is_last_axis_for_a_stack_of_gaussians():
+    assert DiagGaussian([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]).dim == 3
+    stack = DiagGaussian(np.zeros((4, 2)), np.ones((4, 2)))
+    assert stack.dim == 2
+    assert log_pdf(stack, np.zeros((5, 1, 2))).shape == (5, 4)
+
+
 def test_gaussian_rejects_negative_variance():
     with pytest.raises(ValueError):
         DiagGaussian([0.0], [-1.0])

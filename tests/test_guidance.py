@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from toydiff.guidance import GuidanceConfig, cfg_eps, guided_ddpm_step, guided_sample
+from toydiff.guidance import GuidanceConfig, cfg_eps, classifier_shift, guided_sample
 from toydiff.losses import mu_tilde_from_eps
 from toydiff.model import init_classifier, init_noise_predictor
 from toydiff.rng import RngState
@@ -22,15 +22,23 @@ def test_guidance_config_validation():
     with pytest.raises(ValueError):
         GuidanceConfig(mode="classifier-free", scale=-1.0, target=1)
     with pytest.raises(ValueError):
+        GuidanceConfig(mode="classifier-free", scale=float("nan"), target=1)
+    with pytest.raises(ValueError):
         GuidanceConfig(mode="classifier-free", scale=1.0)
     with pytest.raises(ValueError):
         GuidanceConfig(mode="classifier", scale=1.0, target=1)
 
 
+def test_classifier_shift_rejects_negative_or_nan_scale():
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="s must be >= 0"):
+            classifier_shift(CLS, 1, bad, SCHED)
+
+
 def test_scale_zero_matches_unguided_step_bitwise():
     x = np.array([[0.6], [-1.1]])
     t = 40
-    a = guided_ddpm_step(UNCOND, CLS, x, t, 1, 0.0, SCHED, RngState(2))
+    a = ddpm_step(UNCOND, x, t, SCHED, rng=RngState(2), shift=classifier_shift(CLS, 1, 0.0, SCHED))
     b = ddpm_step(UNCOND, x, t, SCHED, rng=RngState(2))
     assert np.array_equal(a, b)
 
@@ -41,7 +49,7 @@ def test_constant_logit_classifier_has_no_effect():
     n_params = 5 * 4 + 4 + 4 * 2 + 2  # widths (1+4, 4, 2)
     n = Classifier(1, (4,), 2, np.zeros(n_params))
     x = np.array([[0.3]])
-    a = guided_ddpm_step(UNCOND, n, x, 30, 0, 5.0, SCHED, RngState(3))
+    a = ddpm_step(UNCOND, x, 30, SCHED, rng=RngState(3), shift=classifier_shift(n, 0, 5.0, SCHED))
     b = ddpm_step(UNCOND, x, 30, SCHED, rng=RngState(3))
     assert np.array_equal(a, b)
 
@@ -72,7 +80,7 @@ def test_taylor_shift_exact_for_linear_log_likelihood():
 
     # compare the deterministic mean part: subtract the shared noise
     seed = RngState(4)
-    out = guided_ddpm_step(UNCOND, stub, x, t, 0, 1.0, SCHED, seed)
+    out = ddpm_step(UNCOND, x, t, SCHED, rng=seed, shift=classifier_shift(stub, 0, 1.0, SCHED))
     noise = math.sqrt(bt) * RngState(4).standard_normal((1, 1))
     mean_guided = (out - noise)[0, 0]
     assert abs(mean_guided - tilted_mean) < 1e-6
@@ -84,7 +92,7 @@ def test_guided_step_is_unguided_plus_shift_exactly():
     x = np.array([[0.9], [-0.2]])
     t = 50
     s = 3.0
-    a = guided_ddpm_step(UNCOND, CLS, x, t, 1, s, SCHED, RngState(5))
+    a = ddpm_step(UNCOND, x, t, SCHED, rng=RngState(5), shift=classifier_shift(CLS, 1, s, SCHED))
     b = ddpm_step(UNCOND, x, t, SCHED, rng=RngState(5))
     mu = mu_tilde_from_eps(x, UNCOND.predict(x, t, None, SCHED), t, SCHED)
     shift = s * SCHED.beta_tilde[t] * CLS.grad_x(mu, t, 1, SCHED)

@@ -1,0 +1,131 @@
+"""Golden digests of library outputs.
+
+The CLI digests in test_cli_golden.py cover what the commands write; this
+file pins what the library returns below them: trained parameters and
+loss curves of every training variant, reverse sampling of every sampler
+kind at one and several chains with the record flag on and off, the three
+guidance modes with their normal-draw counts, the VLB terms, the network
+heads and the mixture log density.  Each value is the SHA-256 of the
+float64 bytes and shapes of its arrays, so a refactor must keep every bit.
+The digests pin numpy 2.4 on x86-64; another BLAS may move last digits.
+"""
+
+import hashlib
+
+import numpy as np
+
+from toydiff import forward, guidance, losses, samplers, training
+from toydiff.model import init_classifier, init_noise_predictor
+from toydiff.rng import RngState
+from toydiff.schedules import make_linear_schedule
+
+SCHED = make_linear_schedule(50, 1e-3, 0.2)
+DATA = forward.default_mixture()
+HIDDEN = (16, 16)
+
+GOLDEN = {
+    "train/simple": "e70d3f1b158d185cbe725ae579cbf68f01aa73224156d7fcd64fa9cd13f989e8",
+    "train/weighted": "cd4ff85845437a5b18b9d92018988a260314695b30d5f96bce69770631a30d1d",
+    "train/conditional": "57230271d228bd71bed685e188aa1fc7a3af7bf59188e46a620124eef882a040",
+    "train/classifier": "ae42ab931db16c0ba2aebdf64ebc720a86c1fc3fea4a931b47e38fb317284093",
+    "sample/ddpm/n1/record0": "315adf40952ba93bdad78c823582d1d653e1e20c3641fafa3ff8d83529abe15a",
+    "sample/ddpm/n1/record1": "dd5d19ff6fecddbc5e364c71741f5f083d61876857e9b0d2e204780c0df9ff3a",
+    "sample/ddpm/n7/record0": "30c226d654ce1a70794d189ed26dbb847c8dc99d82b692cb001273b81782e174",
+    "sample/ddpm/n7/record1": "1ef933def8d85374ab7d9bc9c1f10dcad48b48a3d729442b8b86d96b9c2b9890",
+    "sample/ddim0/n1/record0": "9382f8b80199ab72a387534fb597d0c35068d04ef363f931693bfc27b458f9ec",
+    "sample/ddim0/n1/record1": "b4943ef05ba9082bc85fcbc666dc7b1cc55de9b05aa8c6fc140567b56b2b0838",
+    "sample/ddim0/n7/record0": "81283543d2cdef18652fb2fb82809410629f59ee878711468dd03479bbb4e178",
+    "sample/ddim0/n7/record1": "08bbe3b99439d54183b83b629ef5153fe77eaef907a8e60b73553f767ea26260",
+    "sample/ddimd/n1/record0": "9d28a92ebfc37e5b1d257d9f7788309a3fe1992979fedd4bbe646efea986480f",
+    "sample/ddimd/n1/record1": "5456bc5fb1fde5550a2cee3f79aed474aeeca57a1ff36f8b1b83c3b13d06e040",
+    "sample/ddimd/n7/record0": "b88794ef50e53b825b849c76ff0b170596711b232722416e88ff3a0c58b645de",
+    "sample/ddimd/n7/record1": "5c8d8dcc9c7ecf73a40de0407daf0b4def22f476ae8ea862b1aa427c42212867",
+    "guidance/none": "42653c9d4431b1724a760da3e97b35dd98a2590d67687c84c8e7f3726ed4c80d",
+    "guidance/classifier-free": "e0c39a3bebe005c24dcdcb2c32f27558c43fc45420bc40f8ef385e1e16659992",
+    "guidance/classifier": "34baa445641d0c570ed0aeaa60ed1ac9f59dbda8c4c78692779e38b196988f5a",
+    "vlb": "ec06a3f6f21be0e9e4193a2581bbaaba3fc3a42946c8c4d63ce4193efa624312",
+    "predict": "bfe29550b9f5cef1bb279fc804ef027a850a93798e8f3ce183ee6a10ebbee154",
+    "classifier": "cf750ef72e78977bf02c60b4531203d62ffa8321e73933ef6720164a99da7f64",
+    "gmm_log_pdf": "9534da2d09da82565a477e1e177d548e05198d766ddb707a6abc5e4df36fc573",
+    "sample_xt": "1d7a1158e6c3f7cc8a809427d9f9cd123f1943371b8a94c479dcd00fcf845dde",
+}
+
+
+def _sha(*values):
+    h = hashlib.sha256()
+    for v in values:
+        a = np.ascontiguousarray(v, dtype=np.float64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _trained(variant, seed):
+    cfg = training.TrainConfig(steps=150, batch_size=32, eta=0.05, eval_interval=30,
+                               loss_variant="weighted" if variant == "weighted" else "simple")
+    if variant == "classifier":
+        net = init_classifier(1, 2, HIDDEN, RngState(seed, 1))
+        rep = training.train_classifier(net, DATA, SCHED, cfg, RngState(seed, 2))
+    else:
+        cond = 2 if variant == "conditional" else None
+        net = init_noise_predictor(1, HIDDEN, cond, RngState(seed, 1))
+        rep = training.train(net, DATA, SCHED, cfg, RngState(seed, 2))
+    return net, rep
+
+
+def _digests():
+    out, nets = {}, {}
+    for seed, variant in enumerate(("simple", "weighted", "conditional", "classifier")):
+        net, rep = _trained(variant, seed)
+        nets[variant] = net
+        out[f"train/{variant}"] = _sha(net.params, rep.loss_curve, rep.final_checksum)
+    m, cond, cls = nets["simple"], nets["conditional"], nets["classifier"]
+
+    configs = {"ddpm": dict(kind="ddpm"), "ddim0": dict(kind="ddim", sigma_policy="zero"),
+               "ddimd": dict(kind="ddim", sigma_policy="ddpm")}
+    for name, kw in configs.items():
+        for n in (1, 7):
+            for record in (False, True):
+                rng = RngState(10 + n, int(record))
+                cfg = samplers.SamplerConfig(n_chains=n, record=record, **kw)
+                states = samplers.sample_reverse(m, cfg, SCHED, rng=rng)
+                out[f"sample/{name}/n{n}/record{int(record)}"] = _sha(states, rng.normal_draws)
+
+    ddpm = samplers.SamplerConfig(n_chains=7)
+    modes = {"none": dict(mode="none", target=1),
+             "classifier-free": dict(mode="classifier-free", scale=2.0, target=0),
+             "classifier": dict(mode="classifier", scale=1.5, target=1, classifier=cls)}
+    for name, kw in modes.items():
+        rng = RngState(20)
+        net = m if name == "classifier" else cond
+        states = guidance.guided_sample(net, ddpm, guidance.GuidanceConfig(**kw), SCHED, rng)
+        out[f"guidance/{name}"] = _sha(states, rng.normal_draws)
+
+    rep = losses.vlb_estimate(m, np.array([0.5]), SCHED, 3, RngState(30))
+    out["vlb"] = _sha(rep.L0, rep.Lt, rep.LT, rep.total)
+
+    x = np.linspace(-3.0, 3.0, 9)[:, None]
+    t_arr = np.arange(1, 10) * 5
+    lbl = np.array([0, 1, 0, 1, 1, 0, -1, 1, 0])
+    out["predict"] = _sha(m.predict(x, t_arr, sched=SCHED), m.predict(x, 17, sched=SCHED),
+                          m.predict(x[3], 4, sched=SCHED), cond.predict(x, t_arr, lbl, SCHED),
+                          cond.predict(x, 33, None, SCHED))
+    nll, grad = cls.nll_and_grad(x, t_arr, np.abs(lbl), SCHED)
+    out["classifier"] = _sha(cls.log_probs(x, t_arr, SCHED), cls.log_probs(x[0], 12, SCHED),
+                             cls.grad_x(x, 25, 1, SCHED), cls.grad_x(x[2], 3, 0, SCHED),
+                             nll, grad)
+
+    grid = np.linspace(-4.0, 4.0, 24).reshape(2, 3, 4, 1)
+    spec2 = forward.GmmSpec(weights=[0.2, 0.5, 0.3], means=[[-1.0, 0.5], [0.0, 2.0], [3.0, -1.0]],
+                            vars=[[0.5, 1.0], [0.25, 0.3], [2.0, 0.1]])
+    out["gmm_log_pdf"] = _sha(forward.gmm_log_pdf(DATA, grid), forward.gmm_log_pdf(DATA, 0.3),
+                              forward.gmm_log_pdf(spec2, grid.reshape(3, 4, 2)),
+                              forward.gmm_log_pdf(spec2, [0.1, -0.2]))
+    rng = RngState(40)
+    xt, eps = forward.sample_xt(np.array([[0.5], [-1.0], [2.0]]), 20, SCHED, rng)
+    out["sample_xt"] = _sha(xt, eps, rng.normal_draws)
+    return out
+
+
+def test_library_outputs_match_golden_digests():
+    assert _digests() == GOLDEN

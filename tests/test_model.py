@@ -71,10 +71,12 @@ def test_scalar_t_features_equal_array_t_rows(cond, n):
     for t in (1, 2, 37, 99, 100):
         scalar, _ = m._features(x, t, None, SCHED)
         array, _ = m._features(x, np.full(n, t), None, SCHED)
-        assert np.array_equal(scalar, array)
+        listed, _ = m._features(x, [t] * n, None, SCHED)
+        assert np.array_equal(scalar, array) and np.array_equal(scalar, listed)
     for bad in (0, SCHED.T + 1):
-        with pytest.raises(ValueError):
-            m._features(x, bad, None, SCHED)
+        for t in (bad, np.full(n, bad), [1] * (n - 1) + [bad]):
+            with pytest.raises(ValueError):
+                m._features(x, t, None, SCHED)
 
 
 def test_predict_deterministic_and_shaped():

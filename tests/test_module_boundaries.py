@@ -1,0 +1,46 @@
+"""No toydiff module uses another toydiff module's private names.
+
+A `_`-prefixed name is private to the module that defines it.  The check
+parses every module of the package and fails on a `from .other import _x`
+and on an attribute read `other._x` (or `Imported._x`) where `other` or
+`Imported` was imported from another toydiff module.
+"""
+
+import ast
+from pathlib import Path
+
+import toydiff
+
+PACKAGE = Path(toydiff.__file__).parent
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _violations(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("toydiff"):
+                continue
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"{path.name}:{node.lineno} imports {module}.{alias.name}")
+                imported.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names
+                            if a.name.startswith("toydiff"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in imported):
+            found.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_uses_another_modules_private_names():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 10
+    assert [v for path in modules for v in _violations(path)] == []

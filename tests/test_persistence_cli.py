@@ -307,6 +307,20 @@ def _bad_input(tmp_path, case):
         short = tmp_path / "short.csv"
         short.write_text("# seed=0\nchain,t,dim0\n0,0\n1,0,2.5\n")
         return ["hist", "--seed", 0, "--input", short, "--out", tmp_path / "h.csv"]
+    train = ["train", "--seed", 0, "--desk", "--steps", 1, "--hidden", 4]
+    # NaN/inf values and empty paths; each would write to h.csv if it got that far
+    writes_h = {
+        "kl-q-nan": ["kl-demo", "--seed", 0, "--q", "1,nan", "--p", "0,4", "--M", 10],
+        "forward-x0-nan": ["forward", "--seed", 0, "--desk", "--x0", "nan"],
+        "forward-x0-inf": ["forward", "--seed", 0, "--desk", "--x0", "inf"],
+        "vlb-x0-nan": ["vlb", "--seed", 0, "--checkpoint", ckpt, "--x0", "nan"],
+        "sample-cfg-scale-nan": ["sample", "--seed", 0, "--checkpoint", ckpt, "--guidance",
+                                 "cfg", "--label", 0, "--scale", "nan"],
+        "train-eta-nan": [*train, "--eta", "nan"],
+        "train-loss-csv-empty": [*train, "--loss-csv", ""],
+    }
+    if case in writes_h:
+        return writes_h[case] + ["--out", tmp_path / "h.csv"]
     if case == "hist-zero-bins":
         samples = tmp_path / "s.csv"
         assert run2(["sample", "--seed", 0, "--checkpoint", ckpt, "--n", 5,
@@ -331,6 +345,13 @@ def _bad_input(tmp_path, case):
     ("vlb-classifier-checkpoint", 2, "not a NoisePredictor"),
     ("classifier-flag-noise-predictor", 2, "not a Classifier"),
     ("hist-short-row", 2, "no dim0 field"),
+    ("kl-q-nan", 1, "--q needs finite numbers"),
+    ("forward-x0-nan", 1, "--x0 needs finite numbers"),
+    ("forward-x0-inf", 1, "--x0 needs finite numbers"),
+    ("vlb-x0-nan", 1, "--x0 needs finite numbers"),
+    ("sample-cfg-scale-nan", 2, "scale must be >= 0"),
+    ("train-eta-nan", 2, "eta must be >= 0"),
+    ("train-loss-csv-empty", 2, "--loss-csv"),
 ])
 def test_cli_bad_input_exits_with_message(tmp_path, capsys, case, code, message):
     argv = _bad_input(tmp_path, case)

@@ -2,7 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from toydiff.schedules import make_cosine_schedule, make_linear_schedule, validate_schedule
+from toydiff.schedules import (check_t, make_cosine_schedule, make_linear_schedule,
+                               validate_schedule)
 
 
 def test_linear_1000_endpoints():
@@ -95,3 +96,13 @@ def test_schedule_arrays_are_immutable():
     s = make_linear_schedule(5, 0.1, 0.2)
     with pytest.raises(ValueError):
         s.beta[1] = 0.5
+
+
+def test_check_t_scalar_and_array():
+    s = make_linear_schedule(5, 0.1, 0.2)
+    for t in (1, 5, np.int64(3), np.array(2), np.arange(1, 6), np.array([], dtype=np.int64)):
+        check_t(t, s)
+    check_t(np.array([0, 5]), s, lo=0)
+    for t in (0, 6, np.array(0), np.array([1, 2, 0, 3]), np.array([[1, 6], [2, 3]])):
+        with pytest.raises(ValueError, match="out of range"):
+            check_t(t, s)

@@ -19,6 +19,8 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(eta=-0.1)
     with pytest.raises(ValueError):
+        TrainConfig(eta=float("nan"))
+    with pytest.raises(ValueError):
         TrainConfig(p_drop=1.5)
 
 
