@@ -109,8 +109,6 @@ def _load(path, kind):
 
 
 def _cmd_train(args, rng):
-    if "" in (args.out, args.loss_csv):  # fail before training, not at the first write
-        raise ValueError("--out and --loss-csv need a non-empty path")
     sched = _schedule_from(args)
     data = forward.default_mixture()
     cfg = training.TrainConfig(
@@ -281,6 +279,8 @@ def run_cli(argv):
         args = ap.parse_args(argv)
         config = getattr(args, "config", None)
         args.config_values = _read_config(config) if config else {}
+        if "" in (args.out, getattr(args, "loss_csv", None)):  # fail before any work
+            raise ValueError("--out and --loss-csv need a non-empty path")
         table = args.func(args, RngState(args.seed))
         if table is not None:
             write_csv(args.out or sys.stdout, *table, _meta(args))

@@ -72,15 +72,20 @@ class _Network:
         self.widths, self.n_params = _widths(self.data_dim, self.hidden, self.out_dim,
                                              self.conditioning)
         self.in_features = self.widths[0]
-        params = np.asarray(params, dtype=np.float64)
+        params = np.array(params, dtype=np.float64)  # a copy: SGD updates it in place
         if params.shape != (self.n_params,):
             raise ValueError(f"params must be a flat array of length {self.n_params}")
         if not np.all(np.isfinite(params)):
             raise ValueError("params must be finite")
         self.params = params
+        self._viewed = self._views = None
 
     def _layers(self):
-        return _layers(self.params, self.widths)
+        """(W, b) views into self.params, rebuilt only when params is reassigned."""
+        if self._viewed is not self.params:
+            self._views = _layers(self.params, self.widths)
+            self._viewed = self.params
+        return self._views
 
     def _features(self, x, t, y, sched):
         x = np.asarray(x, dtype=np.float64)
@@ -89,8 +94,10 @@ class _Network:
         if xb.shape[1] != self.data_dim:
             raise ValueError("dimension mismatch between x and model")
         n = xb.shape[0]
-        ts = np.asarray(t, dtype=np.int64)
+        ts = np.asarray(t)
         check_t(ts if ts.ndim else t, sched)  # a 0-d array compares ~20x slower than an int
+        if np.any(ts % 1) if ts.ndim else t != int(t):
+            raise ValueError(f"t must be integer-valued, got {t}")
         cols = [xb, np.broadcast_to(time_features(ts, sched), (n, N_TIME_FEATURES))]
         if self.conditioning is None:
             if y is not None:
@@ -112,27 +119,31 @@ class _Network:
         a = feats
         layers = self._layers()
         for i, (W, b) in enumerate(layers):
-            z = a @ W + b
-            a = z if i == len(layers) - 1 else np.tanh(z)
+            a = a @ W
+            a += b
+            if i < len(layers) - 1:
+                np.tanh(a, out=a)
             acts.append(a)
         return a, acts
 
-    def _backward(self, acts, d_out):
-        """Backprop d_out through the cached pass.
+    def _backward(self, acts, d_out, param_grad=True):
+        """Backprop d_out through the cached pass; overwrites the hidden activations.
 
         Returns (flat parameter gradient, gradient w.r.t. the feature row).
+        With param_grad False the parameter gradient is skipped and returned as None.
         """
         layers = self._layers()
-        grads = [None] * len(layers)
+        flat = np.empty(self.n_params) if param_grad else None
+        grads = _layers(flat, self.widths) if param_grad else None
         delta = d_out
         for i in range(len(layers) - 1, -1, -1):
-            W, _ = layers[i]
-            a_in = acts[i]
-            grads[i] = (a_in.T @ delta, delta.sum(axis=0))
-            delta = delta @ W.T
-            if i > 0:
-                delta = delta * (1.0 - acts[i] ** 2)  # tanh'
-        flat = np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
+            if param_grad:
+                gW, gb = grads[i]
+                np.matmul(acts[i].T, delta, out=gW)
+                np.sum(delta, axis=0, out=gb)
+            delta = delta @ layers[i][0].T
+            if i > 0:  # tanh', written over the activation it was computed from
+                delta *= np.subtract(1.0, np.square(acts[i], out=acts[i]), out=acts[i])
         return flat, delta
 
 
@@ -208,7 +219,7 @@ class Classifier(_Network):
         p /= p.sum(axis=1, keepdims=True)
         d_logits = -p
         d_logits[:, y] += 1.0
-        _, d_feats = self._backward(acts, d_logits)
+        _, d_feats = self._backward(acts, d_logits, param_grad=False)
         gx = d_feats[:, :self.data_dim]
         return gx[0] if squeeze else gx
 

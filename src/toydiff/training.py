@@ -93,7 +93,7 @@ def _sgd(net, objective, data, sched, cfg, rng):
         loss, grad = objective(x_t, t_arr, labels, eps)
         if not np.isfinite(loss):
             raise FloatingPointError(f"nonfinite loss at step {step}: {loss}")
-        net.params = net.params - cfg.eta * grad
+        net.params -= cfg.eta * grad  # in place: keeps the net's cached layer views
         acc.append(loss)
         if step % cfg.eval_interval == 0 or step == cfg.steps:
             curve.append((step, float(np.mean(acc))))

@@ -1,10 +1,16 @@
+import copy
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
 
-from toydiff.model import (Classifier, NoisePredictor, init_classifier,
+from toydiff.forward import default_mixture
+from toydiff.model import (Classifier, NoisePredictor, _layers, init_classifier,
                            init_noise_predictor, time_features)
 from toydiff.rng import RngState
 from toydiff.schedules import make_linear_schedule
+from toydiff.training import TrainConfig, train
 
 SCHED = make_linear_schedule(100, 1e-3, 0.2)
 
@@ -224,3 +230,123 @@ def test_rejects_wrong_param_length_and_nonfinite():
     bad[0] = np.nan
     with pytest.raises(ValueError):
         NoisePredictor(1, (4,), None, bad)
+
+
+def test_fractional_t_is_rejected_and_integral_float_t_accepted():
+    m = init_noise_predictor(1, hidden=(4,), rng=RngState(13))
+    x = np.array([[0.5], [-0.5]])
+    for bad in (3.7, [2, 2.5]):
+        with pytest.raises(ValueError, match="integer-valued"):
+            m.predict(x, bad, None, SCHED)
+    assert np.array_equal(m.predict(x, 3.0, None, SCHED), m.predict(x, 3, None, SCHED))
+    assert np.array_equal(m.predict(x, np.array([2.0, 3.0]), None, SCHED),
+                          m.predict(x, np.array([2, 3]), None, SCHED))
+
+
+# Reference passes that allocate a fresh array for every intermediate and
+# concatenate the gradient; the in-place passes must match them bit for bit.
+def _allocating_forward(net, feats):
+    acts, a = [feats], feats
+    layers = _layers(net.params, net.widths)
+    for i, (W, b) in enumerate(layers):
+        z = a @ W + b
+        a = z if i == len(layers) - 1 else np.tanh(z)
+        acts.append(a)
+    return a, acts
+
+
+def _allocating_backward(net, acts, d_out, param_grad=True):
+    layers = _layers(net.params, net.widths)
+    grads, delta = [None] * len(layers), d_out
+    for i in range(len(layers) - 1, -1, -1):
+        grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+        delta = delta @ layers[i][0].T
+        if i > 0:
+            delta = delta * (1.0 - acts[i] ** 2)
+    return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads]), delta
+
+
+def _with_allocating_passes(net):
+    ref = copy.copy(net)
+    ref._forward = types.MethodType(_allocating_forward, ref)
+    ref._backward = types.MethodType(_allocating_backward, ref)
+    return ref
+
+
+def _random_params(n_params, seed):
+    # nonzero biases, so the in-place bias add is exercised
+    return 0.3 * np.random.default_rng(seed).normal(size=n_params)
+
+
+@pytest.mark.parametrize("n", [1, 7, 4096])
+@pytest.mark.parametrize("cond", [None, 2])
+@pytest.mark.parametrize("skip", [False, True])
+def test_lean_passes_bit_identical_to_allocating_passes(n, cond, skip):
+    rng = np.random.default_rng(n)
+    m = NoisePredictor(2, (64, 64), cond, _random_params(param_count(2, (64, 64), 2, cond), 1),
+                       skip=skip)
+    c = Classifier(2, (64, 64), 3, _random_params(param_count(2, (64, 64), 3), 2))
+    x, eps = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+    t = rng.integers(1, SCHED.T + 1, size=n)
+    y = rng.integers(-1, cond, size=n) if cond else None
+    labels = rng.integers(0, 3, size=n)
+    w = rng.uniform(0.5, 2.0, size=n)
+    old_m, old_c = _with_allocating_passes(m), _with_allocating_passes(c)
+    same = lambda a, b: a[0] == b[0] and np.array_equal(a[1], b[1])
+    for tt in (t, 17):
+        assert np.array_equal(m.predict(x, tt, y, SCHED), old_m.predict(x, tt, y, SCHED))
+        for weights in (None, w):
+            assert same(m.loss_and_grad(x, tt, y, eps, SCHED, weights),
+                        old_m.loss_and_grad(x, tt, y, eps, SCHED, weights))
+        assert np.array_equal(c.log_probs(x, tt, SCHED), old_c.log_probs(x, tt, SCHED))
+        for k in range(3):
+            assert np.array_equal(c.grad_x(x, tt, k, SCHED), old_c.grad_x(x, tt, k, SCHED))
+        assert same(c.nll_and_grad(x, tt, labels, SCHED), old_c.nll_and_grad(x, tt, labels, SCHED))
+
+
+def test_reassigning_params_changes_output():
+    m = init_noise_predictor(1, hidden=(8,), rng=RngState(14))
+    x = np.array([[0.4], [-1.1]])
+    before = m.predict(x, 20, None, SCHED)
+    other = _random_params(m.n_params, 3)
+    twin = copy.copy(m)
+    twin.params = other
+    after = twin.predict(x, 20, None, SCHED)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, NoisePredictor(1, (8,), None, other, skip=True)
+                          .predict(x, 20, None, SCHED))
+    assert np.array_equal(m.predict(x, 20, None, SCHED), before)
+    m.params = other
+    assert np.array_equal(m.predict(x, 20, None, SCHED), after)
+
+
+def test_training_leaves_the_constructor_array_unchanged():
+    p = init_noise_predictor(1, hidden=(8,), rng=RngState(15)).params
+    saved = p.copy()
+    m = NoisePredictor(1, (8,), None, p, skip=True)
+    train(m, default_mixture(), SCHED, TrainConfig(steps=5, batch_size=8), RngState(16))
+    assert np.array_equal(p, saved)
+    assert not np.array_equal(m.params, saved)
+
+
+def _traced_peak(f):
+    """Peak bytes traced by tracemalloc during one call of f."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_passes_allocate_only_the_activations_they_keep():
+    n = 4096
+    block = n * 64 * 8  # one (n, 64) float64 activation
+    rng = np.random.default_rng(17)
+    m = init_noise_predictor(1, hidden=(64, 64), conditioning=2, rng=RngState(17))
+    c = init_classifier(1, 2, hidden=(64, 64), rng=RngState(18))
+    x, eps = rng.normal(size=(n, 1)), rng.normal(size=(n, 1))
+    t, y = rng.integers(1, SCHED.T + 1, size=n), rng.integers(0, 2, size=n)
+    assert _traced_peak(lambda: m.predict(x, t, y, SCHED)) <= 2.5 * block
+    assert _traced_peak(lambda: c.grad_x(x, t, 1, SCHED)) <= 4.5 * block
+    assert _traced_peak(lambda: m.loss_and_grad(x, t, y, eps, SCHED)) <= 4.5 * block

@@ -363,6 +363,25 @@ def test_cli_bad_input_exits_with_message(tmp_path, capsys, case, code, message)
     assert capsys.readouterr().out == ""   # no partial table on stdout
 
 
+@pytest.mark.parametrize("command", ["sample", "forward", "vlb", "kl-demo", "reparam-demo",
+                                     "hist"])
+def test_cli_empty_out_exits_2_before_writing(tmp_path, capsys, command):
+    # an empty --out used to fall through to stdout and exit 0
+    ckpt = train_small(tmp_path, "m.ckpt")
+    data = tmp_path / "d.csv"
+    data.write_text("# seed=0\nchain,t,dim0\n0,0,1.5\n1,0,-0.5\n")
+    args = {"sample": ["--checkpoint", ckpt, "--n", 3],
+            "forward": ["--desk", "--x0", 1],
+            "vlb": ["--checkpoint", ckpt, "--x0", 0.5],
+            "kl-demo": ["--q", "0,1", "--p", "1,2", "--M", 10],
+            "reparam-demo": ["--M", 10],
+            "hist": ["--input", data]}[command]
+    capsys.readouterr()
+    assert run2([command, "--seed", 0, *args, "--out", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--out and --loss-csv need a non-empty path" in err
+
+
 def test_cli_hist_constant_column_has_no_zero_width_bin(tmp_path):
     const = tmp_path / "const.csv"
     const.write_text("# seed=0\nchain,t,dim0\n0,0,1.5\n1,0,1.5\n")
