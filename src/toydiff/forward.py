@@ -129,16 +129,12 @@ def simulate_forward(x0, sched, rng):
     return Trajectory(times=np.arange(sched.T + 1), states=states)
 
 
-def gmm_sample(spec, rng, size=None):
-    """Draw (x, label) from the mixture; ``size`` requests a batch."""
-    n = 1 if size is None else size
-    comp = rng.choice(spec.n_components, size=n, p=spec.weights)
-    z = rng.standard_normal((n, spec.dim))
+def gmm_sample(spec, rng, size):
+    """Draw (x, labels), (size, d) and (size,); unlabelled mixtures give component ids."""
+    comp = rng.choice(spec.n_components, size=size, p=spec.weights)
+    z = rng.standard_normal((size, spec.dim))
     x = spec.means[comp] + np.sqrt(spec.vars[comp]) * z
-    labels = spec.labels[comp] if spec.labels is not None else comp
-    if size is None:
-        return x[0], int(labels[0])
-    return x, labels
+    return x, spec.labels[comp] if spec.labels is not None else comp
 
 
 def gmm_log_pdf(spec, x):

@@ -22,8 +22,6 @@ class DiagGaussian:
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
         var = np.atleast_1d(np.asarray(self.var, dtype=np.float64))
-        if var.shape == (1,) and mean.shape != (1,):
-            var = np.full_like(mean, var[0])
         if mean.shape != var.shape:
             raise ValueError("mean and var must have the same dimension")
         if np.any(var < 0.0):
@@ -47,13 +45,9 @@ def log_pdf(g, x):
     return -0.5 * np.sum(_LOG_2PI + np.log(g.var) + q, axis=-1)
 
 
-def sample(g, rng, size=None):
-    """Draw via the affine construction mean + sqrt(var) * z, z ~ N(0, I).
-
-    ``size`` (optional int) requests a (size, d) batch from the same stream.
-    """
-    shape = g.mean.shape if size is None else (size, g.dim)
-    z = rng.standard_normal(shape)
+def sample(g, rng, size):
+    """Draw a (size, d) batch via mean + sqrt(var) * z, z ~ N(0, I)."""
+    z = rng.standard_normal((size, g.dim))
     return g.mean + np.sqrt(g.var) * z
 
 

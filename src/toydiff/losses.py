@@ -42,9 +42,7 @@ def loss_simple(eps_hat, eps):
 
 def loss_x0_weighted(x0_hat, x0, t, sched):
     """KL-derived loss on the x0 prediction, weight abar_{t-1} beta^2 / (2 bt (1-abar)^2)."""
-    if t < 2:
-        raise ValueError("t=1 has beta_tilde=0; weighted loss undefined")
-    check_t(t, sched)
+    check_t(t, sched, lo=2)  # beta_tilde_1 = 0 leaves the weight undefined at t = 1
     bt, b, ab, ab_prev = (sched.beta_tilde[t], sched.beta[t],
                           sched.alpha_bar[t], sched.alpha_bar[t - 1])
     w = (1.0 / (2.0 * bt)) * (ab_prev * b ** 2) / (1.0 - ab) ** 2
@@ -59,9 +57,7 @@ def eps_kl_weight(t, sched):
 
 def loss_eps_weighted(eps_hat, eps, t, sched):
     """KL-derived loss on the noise prediction, weighted by eps_kl_weight."""
-    if t < 2:
-        raise ValueError("t=1 has beta_tilde=0; weighted loss undefined")
-    check_t(t, sched)
+    check_t(t, sched, lo=2)  # beta_tilde_1 = 0 leaves the weight undefined at t = 1
     w = eps_kl_weight(t, sched)
     return float(w * np.sum((np.asarray(eps_hat) - np.asarray(eps)) ** 2))
 

@@ -22,18 +22,15 @@ from .schedules import check_t
 @dataclass(frozen=True)
 class SamplerConfig:
     kind: str = "ddpm"             # "ddpm" | "ddim"
-    sigma_policy: str = "zero"     # ddim only: "zero" | "ddpm" | "explicit"
-    sigmas: np.ndarray | None = None  # explicit per-t values, index t in 1..T
+    sigma_policy: str = "zero"     # ddim only: "zero" | "ddpm"
     n_chains: int = 1
     record: bool = False
 
     def __post_init__(self):
         if self.kind not in ("ddpm", "ddim"):
             raise ValueError("kind must be 'ddpm' or 'ddim'")
-        if self.sigma_policy not in ("zero", "ddpm", "explicit"):
-            raise ValueError("sigma_policy must be 'zero', 'ddpm' or 'explicit'")
-        if self.sigma_policy == "explicit" and self.sigmas is None:
-            raise ValueError("explicit sigma policy needs a sigmas array")
+        if self.sigma_policy not in ("zero", "ddpm"):
+            raise ValueError("sigma_policy must be 'zero' or 'ddpm'")
         if self.n_chains < 1:
             raise ValueError("n_chains must be >= 1")
 
@@ -90,14 +87,6 @@ def ddim_step(m, x_t, t, sigma_t, sched, y=None, rng=None, eps_fn=None):
     return out
 
 
-def _sigma_for(cfg, t, sched):
-    if cfg.sigma_policy == "zero":
-        return 0.0
-    if cfg.sigma_policy == "ddpm":
-        return ddim_sigma_ddpm_equiv(t, sched)
-    return float(cfg.sigmas[t])
-
-
 def sample_reverse(m, cfg, sched, y=None, rng=None, eps_fn=None, x_T=None, shift=None):
     """Run n = cfg.n_chains reverse chains from x_T ~ N(0, I) down to x_0.
 
@@ -111,20 +100,19 @@ def sample_reverse(m, cfg, sched, y=None, rng=None, eps_fn=None, x_T=None, shift
     if shift is not None and cfg.kind != "ddpm":
         raise ValueError("a mean shift (classifier guidance) is defined for the DDPM "
                          "sampler only")
-    if cfg.kind == "ddim" and cfg.sigma_policy == "explicit" and len(cfg.sigmas) != sched.T + 1:
-        raise ValueError(f"explicit sigmas need T+1 = {sched.T + 1} entries, "
-                         f"got {len(cfg.sigmas)}")
     d = m.data_dim
     n = cfg.n_chains
     x = rng.standard_normal((n, d)) if x_T is None else \
         np.array(x_T, dtype=np.float64).reshape(n, d)
+    # x is rebound, never written, so correctness needs no copies; without them
+    # perfbench's sample_wide peak RSS rose from 59.4 to 63.7 MB (heap layout).
     recorded = [x.copy()]
     for t in range(sched.T, 0, -1):
         if cfg.kind == "ddpm":
             x = ddpm_step(m, x, t, sched, y=y, rng=rng, eps_fn=eps_fn, shift=shift)
         else:
-            x = ddim_step(m, x, t, _sigma_for(cfg, t, sched), sched,
-                          y=y, rng=rng, eps_fn=eps_fn)
+            sigma_t = ddim_sigma_ddpm_equiv(t, sched) if cfg.sigma_policy == "ddpm" else 0.0
+            x = ddim_step(m, x, t, sigma_t, sched, y=y, rng=rng, eps_fn=eps_fn)
         if cfg.record or t == 1:
             recorded.append(x.copy())
     return np.stack(recorded)

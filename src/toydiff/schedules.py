@@ -37,6 +37,8 @@ def _build(T, beta, kind, args):
     alpha_bar = np.empty(T + 1)
     alpha_bar[0] = 1.0
     alpha_bar[1:] = np.cumprod(alpha)
+    if not (alpha_bar[1:] < alpha_bar[:-1]).all():  # else load_checkpoint rejects it later
+        raise ValueError("alpha_bar: must strictly decrease (1 - beta_t is 1 or it underflows)")
     beta_tilde = np.empty(T)
     beta_tilde[:] = (1.0 - alpha_bar[:-1]) / (1.0 - alpha_bar[1:]) * beta
     beta_tilde[0] = 0.0  # alpha_bar[0] = 1 makes the first posterior a point mass

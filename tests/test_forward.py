@@ -171,11 +171,6 @@ def test_gmm_sample_component_frequencies_and_labels():
     assert abs(xs[ys == 1, 0].mean() - 2.0) < 0.02
 
 
-def test_gmm_sample_single_draw():
-    x, y = gmm_sample(default_mixture(), RngState(8))
-    assert x.shape == (1,) and y in (0, 1)
-
-
 def test_gmm_log_pdf_normalizes():
     spec = default_mixture()
     grid = np.linspace(-12, 12, 200001)[:, None]

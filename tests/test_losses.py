@@ -95,10 +95,11 @@ def test_weighted_losses_zero_and_scaling():
 
 def test_weighted_losses_reject_t1():
     s = make_linear_schedule(5, 0.1, 0.3)
-    with pytest.raises(ValueError):
-        loss_x0_weighted(np.zeros(1), np.zeros(1), 1, s)
-    with pytest.raises(ValueError):
-        loss_eps_weighted(np.zeros(1), np.zeros(1), 1, s)
+    for t in (1, s.T + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            loss_x0_weighted(np.zeros(1), np.zeros(1), t, s)
+        with pytest.raises(ValueError, match="out of range"):
+            loss_eps_weighted(np.zeros(1), np.zeros(1), t, s)
 
 
 def test_weighted_loss_cross_identity():

@@ -132,6 +132,15 @@ def test_cli_domain_error_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_train_on_an_underflowing_schedule_exits_2_before_writing(tmp_path, capsys):
+    # alpha_bar underflows at T = 100000; load_checkpoint would reject the file
+    out = tmp_path / "m.ckpt"
+    assert run2(["train", "--seed", 0, "--T", 100000, "--steps", 1, "--hidden", 4,
+                 "--out", out]) == 2
+    assert "alpha_bar" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_checkpoint_exit_2(tmp_path, capsys):
     assert run2(["sample", "--seed", 0, "--checkpoint", tmp_path / "no.ckpt",
                  "--out", tmp_path / "s.csv"]) == 2

@@ -24,7 +24,7 @@ def oracle_eps(x0):
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(kind="other")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma_policy"):
         SamplerConfig(kind="ddim", sigma_policy="explicit")
     with pytest.raises(ValueError):
         SamplerConfig(n_chains=0)
@@ -157,23 +157,3 @@ def test_sample_reverse_trajectory_recording():
     one = sample_reverse(MODEL, SamplerConfig(kind="ddpm", n_chains=1, record=True),
                          SCHED, rng=RngState(10))
     assert np.array_equal(ends, one[[0, -1]])  # recording changes no draw
-
-
-def test_explicit_sigmas_of_wrong_length_fail_before_any_draw():
-    for length in (SCHED.T, SCHED.T + 2):
-        cfg = SamplerConfig(kind="ddim", sigma_policy="explicit",
-                            sigmas=np.zeros(length), n_chains=2)
-        rng = RngState(12)
-        with pytest.raises(ValueError, match="sigmas"):
-            sample_reverse(MODEL, cfg, SCHED, rng=rng)
-        assert rng.normal_draws == 0
-
-
-def test_explicit_sigma_policy_round_trip():
-    sig = np.zeros(SCHED.T + 1)
-    for t in range(1, SCHED.T + 1):
-        sig[t] = ddim_sigma_ddpm_equiv(t, SCHED)
-    cfg = SamplerConfig(kind="ddim", sigma_policy="explicit", sigmas=sig, n_chains=2)
-    out = final_states(sample_reverse(MODEL, cfg, SCHED, rng=RngState(11)))
-    assert out.shape == (2, 1)
-    assert np.all(np.isfinite(out))

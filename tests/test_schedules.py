@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -106,3 +108,14 @@ def test_check_t_scalar_and_array():
     for t in (0, 6, np.array(0), np.array([1, 2, 0, 3]), np.array([[1, 6], [2, 3]])):
         with pytest.raises(ValueError, match="out of range"):
             check_t(t, s)
+
+
+def test_schedules_whose_alpha_bar_stalls_fail_at_construction():
+    # T = 100000 underflows alpha_bar to 0; beta = 1e-20 rounds 1 - beta to 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NaN beta_tilde on the way
+        for make in (lambda: make_linear_schedule(100000),
+                     lambda: make_linear_schedule(10, 1e-20, 1e-20)):
+            with pytest.raises(ValueError, match="alpha_bar"):
+                make()
+
