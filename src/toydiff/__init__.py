@@ -14,7 +14,7 @@ from .training import TrainConfig, TrainReport, train, train_classifier
 from .samplers import (SamplerConfig, ddpm_step, ddim_step,
                        ddim_sigma_ddpm_equiv, sample_reverse, final_states)
 from .guidance import GuidanceConfig, classifier_shift, cfg_eps, guided_sample
-from .estimators import mc_expectation, mc_expectation_gaussian, reparam_grad
+from .estimators import reparam_grad
 from .evaluation import MetricReport, wasserstein1_1d, mode_masses, metric_report
 from .persistence import save_checkpoint, load_checkpoint, write_csv
 

@@ -1,30 +1,12 @@
-"""Monte-Carlo expectation and reparameterised-gradient estimators.
+"""The reparameterised-gradient estimator.
 
-Standalone verification utilities; the training loop does not route
-through them.  The gradient estimator targets the mean of f(X) = X^2/2
-with X ~ N(theta1, theta2^2), written as X = theta1 + theta2 * Y with
+A standalone verification utility; the training loop does not route
+through it.  It targets the mean of f(X) = X^2/2 with
+X ~ N(theta1, theta2^2), written as X = theta1 + theta2 * Y with
 Y ~ N(0, 1), whose exact gradient is theta itself.
 """
 
 import numpy as np
-
-
-def mc_expectation(sampler, f, M, rng):
-    """Sample average of f over M draws; returns (estimate, std error)."""
-    if M < 2:
-        raise ValueError("M must be >= 2 for a standard error")
-    vals = np.asarray([f(sampler(rng)) for _ in range(M)], dtype=np.float64)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(M))
-
-
-def mc_expectation_gaussian(theta, M, rng):
-    """Vectorised MC estimate of E[X^2/2], X ~ N(theta1, theta2^2)."""
-    if M < 2:
-        raise ValueError("M must be >= 2 for a standard error")
-    t1, t2 = float(theta[0]), float(theta[1])
-    x = t1 + t2 * rng.standard_normal(M)
-    vals = 0.5 * x ** 2
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(M))
 
 
 def reparam_grad(theta, M, rng):

@@ -5,9 +5,10 @@ mu moves to mu + s * beta_tilde_t * grad_x log p(y | x, t), with the
 gradient taken at the unguided mean (the Taylor expansion point), and
 the covariance is untouched.  Classifier-free guidance combines the
 conditional and null-label noise predictions into
-eps_tilde = eps(y) + s * (eps(y) - eps(null)) and feeds that to either
-sampler.  Both run on samplers.sample_reverse.  Classifier guidance is
-DDPM-only; no DDIM mean-shift variant is defined here.
+eps_tilde = eps(y) + s * (eps(y) - eps(null)), itself a noise predictor
+that either sampler takes in place of the model.  Both run on
+samplers.sample_reverse.  Classifier guidance is DDPM-only; no DDIM
+mean-shift variant is defined here.
 """
 
 from dataclasses import dataclass
@@ -52,20 +53,30 @@ def cfg_eps(m, x, t, y, s, sched):
     return e_y + s * (e_y - e_null)
 
 
+class _FreeGuided:
+    """The classifier-free noise predictor x, t -> cfg_eps(m, x, t, target, scale)."""
+
+    def __init__(self, m, target, scale):
+        if m.conditioning is None:  # fail before the sampler draws x_T
+            raise ValueError("classifier-free guidance needs a conditional model")
+        self.m, self.target, self.scale, self.data_dim = m, target, scale, m.data_dim
+
+    def predict(self, x, t, y, sched):
+        return cfg_eps(self.m, x, t, self.target, self.scale, sched)
+
+
 def guided_sample(m, cfg, g, sched, rng):
     """Reverse sampling under a GuidanceConfig; returns the (L, n, d) states.
 
     mode "none" is samplers.sample_reverse with y = g.target (unguided,
-    conditional when a target is given).  Classifier mode
-    passes the classifier shift as the DDPM step's mean-shift hook and
-    raises ValueError for DDIM before any draw; classifier-free mode
-    swaps the noise prediction for cfg_eps inside either sampler.  The
-    states are laid out as in sample_reverse.
+    conditional when a target is given).  Classifier mode passes the
+    classifier shift as the DDPM step's mean-shift hook and raises
+    ValueError for DDIM before any draw; classifier-free mode runs either
+    sampler on the cfg_eps predictor.  States are laid out as in sample_reverse.
     """
     if g.mode == "none":
         return samplers.sample_reverse(m, cfg, sched, y=g.target, rng=rng)
     if g.mode == "classifier-free":
-        eps_fn = lambda x, t: cfg_eps(m, x, t, g.target, g.scale, sched)
-        return samplers.sample_reverse(m, cfg, sched, rng=rng, eps_fn=eps_fn)
+        return samplers.sample_reverse(_FreeGuided(m, g.target, g.scale), cfg, sched, rng=rng)
     shift = classifier_shift(g.classifier, g.target, g.scale, sched)
     return samplers.sample_reverse(m, cfg, sched, rng=rng, shift=shift)

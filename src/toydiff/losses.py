@@ -3,7 +3,8 @@
 The weighted losses carry the exact per-step coefficients from the KL
 reduction; training's weighted variant reads eps_kl_weight.  t = 1 is
 rejected by the weighted forms because beta_tilde_1 = 0 makes the weight
-undefined; training gives t = 1 the t = 2 weight.
+undefined; training gives t = 1 the t = 2 weight.  vlb_estimate runs on
+any noise predictor (see samplers): a trained model or an exact oracle.
 """
 
 from dataclasses import dataclass
@@ -77,16 +78,15 @@ class VlbReport:
             raise ValueError("KL terms must be nonnegative")
 
 
-def vlb_estimate(m, x0, sched, M, rng, eps_fn=None):
+def vlb_estimate(m, x0, sched, M, rng):
     """Monte-Carlo estimate of the variational bound for one data point.
 
     For each t in 2..T averages, over M draws x_t ~ q(x_t | x0), the KL
     between the true posterior and the model's Gaussian reverse kernel
     (mean from the eps prediction, variance beta_tilde_t).  L0 uses a
     Gaussian decoder N(predicted x0 at t=1, beta_1 I).  LT is the exact
-    prior-matching KL.  ``eps_fn(x_t, t)`` overrides the model's
-    prediction (test hook for oracle predictors); like the model, it
-    receives the M draws as one (M, d) batch and a scalar t.
+    prior-matching KL.  The noise predictor m sees the M draws as one
+    (M, d) batch and a scalar t.
 
     Each t takes its M draws as one (M * d,) normal draw, which is the
     same stream as M successive draws of size d.  The M per-draw Gaussians
@@ -97,10 +97,9 @@ def vlb_estimate(m, x0, sched, M, rng, eps_fn=None):
         raise ValueError("M must be >= 1")
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     x0s = np.tile(x0, M)  # the M draws side by side, flattened in C order
-    predict = eps_fn if eps_fn is not None else (lambda x, t: m.predict(x, t, sched=sched))
 
     def mu_p(x_t, t):
-        eps = np.reshape(predict(x_t.reshape(M, -1), t), -1)
+        eps = np.reshape(m.predict(x_t.reshape(M, -1), t, None, sched), -1)
         return mu_tilde_from_eps(x_t, eps, t, sched)
 
     Lt = np.zeros(max(sched.T - 1, 0))

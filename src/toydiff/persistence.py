@@ -3,8 +3,8 @@
 Checkpoints are diff-able key=value text with one parameter per line,
 printed with 17 significant digits so 64-bit floats round-trip exactly.
 Schedules are stored by construction arguments, not arrays, and are
-rebuilt and revalidated on load.  CSV files start with a '#'-prefixed
-metadata comment block sufficient to reproduce them.
+rebuilt and checked by their constructors on load.  CSV files start
+with a '#'-prefixed metadata comment block sufficient to reproduce them.
 """
 
 import numpy as np
@@ -88,17 +88,18 @@ def load_checkpoint(path):
         sched = schedules.make_cosine_schedule(T, float(meta["schedule_offset"]))
     else:
         raise ValueError(f"unknown schedule kind: {skind}")
-    schedules.validate_schedule(sched)
 
     hidden = tuple(int(w) for w in meta["hidden"].split(",")) if meta["hidden"] else ()
     p = np.asarray(params)
     if meta["kind"] == "classifier":
         m = Classifier(int(meta["data_dim"]), hidden, int(meta["n_classes"]), p)
-    else:
+    elif meta["kind"] == "noise_predictor":
         cond = meta["conditioning"]
         m = NoisePredictor(int(meta["data_dim"]), hidden,
                            None if cond == "none" else int(cond), p,
                            skip=bool(int(meta.get("skip", 0))))
+    else:
+        raise ValueError(f"unknown checkpoint kind: {meta['kind']}")
     return m, sched
 
 

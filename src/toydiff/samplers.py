@@ -1,14 +1,14 @@
 """Reverse processes: the stochastic DDPM step and the sigma-family DDIM step.
 
-Both samplers share the trained noise predictor.  DDIM with the
-DDPM-equivalent sigma reproduces the DDPM step distribution; sigma = 0
-gives fully deterministic generation.  The noise term is gated off at
-t = 1 in both samplers.
+Both run on a noise predictor m, any object with ``data_dim`` and
+``predict(x, t, y, sched)``.  DDIM with the DDPM-equivalent sigma
+reproduces the DDPM step distribution; sigma = 0 gives fully
+deterministic generation.  The noise term is gated off at t = 1 in both.
 
 States may carry a leading batch axis; one chain is strictly sequential,
 but a batch of chains advances in lock-step from a single stream.
 sample_reverse is the one reverse-chain loop: guidance runs on it through
-its eps_fn (noise prediction) and shift (DDPM step mean) hooks.
+its predictor m and its shift (DDPM step mean) hook.
 """
 
 from dataclasses import dataclass
@@ -35,7 +35,7 @@ class SamplerConfig:
             raise ValueError("n_chains must be >= 1")
 
 
-def ddpm_step(m, x_t, t, sched, y=None, rng=None, eps_fn=None, shift=None):
+def ddpm_step(m, x_t, t, sched, y=None, rng=None, shift=None):
     """One stochastic denoising step x_t -> x_{t-1}.
 
     Mean is the eps-form posterior mean mu, moved to mu + shift(mu, t)
@@ -44,7 +44,7 @@ def ddpm_step(m, x_t, t, sched, y=None, rng=None, eps_fn=None, shift=None):
     """
     check_t(t, sched)
     x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = eps_fn(x_t, t) if eps_fn is not None else m.predict(x_t, t, y, sched)
+    eps_hat = m.predict(x_t, t, y, sched)
     mean = mu_tilde_from_eps(x_t, eps_hat, t, sched)
     if shift is not None:
         mean = mean + shift(mean, t)
@@ -67,7 +67,7 @@ def ddim_sigma_ddpm_equiv(t, sched):
     return float(np.sqrt((1.0 - ab_prev) / (1.0 - ab)) * np.sqrt(1.0 - ab / ab_prev))
 
 
-def ddim_step(m, x_t, t, sigma_t, sched, y=None, rng=None, eps_fn=None):
+def ddim_step(m, x_t, t, sigma_t, sched, y=None, rng=None):
     """One step of the sigma-parameterised family.
 
     x_{t-1} = predicted-x0 term + direction term + sigma_t z, with the
@@ -78,7 +78,7 @@ def ddim_step(m, x_t, t, sigma_t, sched, y=None, rng=None, eps_fn=None):
     if sigma_t < 0.0 or sigma_t ** 2 > 1.0 - ab_prev:
         raise ValueError("sigma_t^2 must lie in [0, 1 - abar_{t-1}]")
     x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = eps_fn(x_t, t) if eps_fn is not None else m.predict(x_t, t, y, sched)
+    eps_hat = m.predict(x_t, t, y, sched)
     ab = sched.alpha_bar[t]
     out = ((x_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(sched.alpha[t])
            + np.sqrt(1.0 - ab_prev - sigma_t ** 2) * eps_hat)
@@ -87,15 +87,14 @@ def ddim_step(m, x_t, t, sigma_t, sched, y=None, rng=None, eps_fn=None):
     return out
 
 
-def sample_reverse(m, cfg, sched, y=None, rng=None, eps_fn=None, x_T=None, shift=None):
+def sample_reverse(m, cfg, sched, y=None, rng=None, x_T=None, shift=None):
     """Run n = cfg.n_chains reverse chains from x_T ~ N(0, I) down to x_0.
 
     Returns the states as one (L, n, d) array.  With cfg.record on they
     are the states at times T, T-1, ..., 0 (L = T + 1); with it off only
     the endpoints at times T and 0 are kept (L = 2).  ``x_T`` overrides
-    the initial draw (shape (n_chains, d)); ``eps_fn(x, t)`` replaces the
-    model's prediction; ``shift(mu, t)`` moves the DDPM step mean (see
-    ddpm_step) and is defined for the DDPM sampler only.
+    the initial draw (shape (n_chains, d)); ``shift(mu, t)`` moves the
+    DDPM step mean (see ddpm_step) and is defined for the DDPM sampler only.
     """
     if shift is not None and cfg.kind != "ddpm":
         raise ValueError("a mean shift (classifier guidance) is defined for the DDPM "
@@ -109,10 +108,10 @@ def sample_reverse(m, cfg, sched, y=None, rng=None, eps_fn=None, x_T=None, shift
     recorded = [x.copy()]
     for t in range(sched.T, 0, -1):
         if cfg.kind == "ddpm":
-            x = ddpm_step(m, x, t, sched, y=y, rng=rng, eps_fn=eps_fn, shift=shift)
+            x = ddpm_step(m, x, t, sched, y=y, rng=rng, shift=shift)
         else:
             sigma_t = ddim_sigma_ddpm_equiv(t, sched) if cfg.sigma_policy == "ddpm" else 0.0
-            x = ddim_step(m, x, t, sigma_t, sched, y=y, rng=rng, eps_fn=eps_fn)
+            x = ddim_step(m, x, t, sigma_t, sched, y=y, rng=rng)
         if cfg.record or t == 1:
             recorded.append(x.copy())
     return np.stack(recorded)

@@ -37,7 +37,7 @@ def _build(T, beta, kind, args):
     alpha_bar = np.empty(T + 1)
     alpha_bar[0] = 1.0
     alpha_bar[1:] = np.cumprod(alpha)
-    if not (alpha_bar[1:] < alpha_bar[:-1]).all():  # else load_checkpoint rejects it later
+    if not (alpha_bar[1:] < alpha_bar[:-1]).all():  # else beta_tilde or x0 turns NaN or inf
         raise ValueError("alpha_bar: must strictly decrease (1 - beta_t is 1 or it underflows)")
     beta_tilde = np.empty(T)
     beta_tilde[:] = (1.0 - alpha_bar[:-1]) / (1.0 - alpha_bar[1:]) * beta
@@ -86,16 +86,3 @@ def check_t(t, sched, lo=1):
         ok = lo <= t <= sched.T
     if not ok:
         raise ValueError(f"t={t} out of range [{lo}, {sched.T}]")
-
-
-def validate_schedule(s):
-    """Re-check all Schedule invariants; raises ValueError on violation."""
-    b, a, ab, bt = s.beta[1:], s.alpha[1:], s.alpha_bar, s.beta_tilde[1:]
-    if np.any(b <= 0) or np.any(b >= 1):
-        raise ValueError("beta: out of (0, 1)")
-    if np.max(np.abs(a - (1.0 - b))) != 0.0:
-        raise ValueError("alpha: alpha_t != 1 - beta_t")
-    if ab[0] != 1.0 or np.any(np.diff(ab) >= 0.0):
-        raise ValueError("alpha_bar: must start at 1 and strictly decrease")
-    if bt[0] != 0.0 or np.any(bt < 0.0) or np.any(bt > b):
-        raise ValueError("beta_tilde: need beta_tilde_1 = 0 and 0 <= beta_tilde_t <= beta_t")

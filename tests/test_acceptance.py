@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import PointMassOracle
 
-from toydiff.estimators import mc_expectation_gaussian, reparam_grad
+from toydiff.estimators import reparam_grad
 from toydiff.evaluation import mode_masses, wasserstein1_1d
 from toydiff.forward import (default_mixture, forward_step, gmm_sample,
                              marginal_q, posterior_q)
@@ -143,24 +144,20 @@ def test_criterion_04_algebraic_identities():
 
 
 def test_criterion_05_ddim_ddpm_equivalence():
-    x0 = np.array([0.8])
-
-    def eps_fn(x, t):
-        return (x - np.sqrt(DESK.alpha_bar[t]) * x0) / np.sqrt(1 - DESK.alpha_bar[t])
-
+    oracle = PointMassOracle(np.array([0.8]))
     for t in (2, 25, 60, 100):
         xt = np.array([[1.1]])
         sig = ddim_sigma_ddpm_equiv(t, DESK)
-        mean_ddpm = mu_tilde_from_eps(xt, eps_fn(xt, t), t, DESK)
-        e = eps_fn(xt, t)
+        e = oracle.predict(xt, t, None, DESK)
+        mean_ddpm = mu_tilde_from_eps(xt, e, t, DESK)
         ab, abp = DESK.alpha_bar[t], DESK.alpha_bar[t - 1]
         mean_ddim = ((xt - np.sqrt(1 - ab) * e) / np.sqrt(DESK.alpha[t])
                      + np.sqrt(1 - abp - sig ** 2) * e)
         assert np.allclose(mean_ddim, mean_ddpm, rtol=1e-12, atol=1e-12)
         n = 10**5
         xt_b = np.full((n, 1), 1.1)
-        a = ddpm_step(None, xt_b, t, DESK, rng=RngState(50 + t), eps_fn=eps_fn)
-        b = ddim_step(None, xt_b, t, sig, DESK, rng=RngState(90 + t), eps_fn=eps_fn)
+        a = ddpm_step(oracle, xt_b, t, DESK, rng=RngState(50 + t))
+        b = ddim_step(oracle, xt_b, t, sig, DESK, rng=RngState(90 + t))
         sd = math.sqrt(DESK.beta_tilde[t])
         assert abs(a.std(ddof=1) - sd) < 3 * sd / math.sqrt(2 * n)
         assert abs(b.std(ddof=1) - sd) < 3 * sd / math.sqrt(2 * n)

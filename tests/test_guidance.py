@@ -157,6 +157,14 @@ def test_cfg_works_with_deterministic_ddim():
     assert np.all(np.isfinite(a))
 
 
+def test_cfg_on_an_unconditional_model_fails_before_any_draw():
+    rng = RngState(11)
+    g = GuidanceConfig(mode="classifier-free", scale=1.0, target=1)
+    with pytest.raises(ValueError, match="conditional model"):
+        guided_sample(UNCOND, SamplerConfig(n_chains=5), g, SCHED, rng)
+    assert rng.normal_draws == 0
+
+
 def reference_classifier_guided_sample(m, c, cfg, y, s, sched, rng):
     """The classifier-guided loop as written before it ran on sample_reverse."""
     x = rng.standard_normal((cfg.n_chains, m.data_dim))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import PointMassOracle
 
 from toydiff import forward
 from toydiff.forward import posterior_q
@@ -128,11 +129,7 @@ def test_vlb_oracle_predictor_zeroes_kl_terms():
     # eps oracle for a point mass at x0 makes every reverse kernel exact
     s = make_linear_schedule(6, 0.05, 0.3)
     x0 = np.array([0.8])
-
-    def oracle(x, t):
-        return (x - np.sqrt(s.alpha_bar[t]) * x0) / np.sqrt(1 - s.alpha_bar[t])
-
-    rep = vlb_estimate(None, x0, s, 20, RngState(0), eps_fn=oracle)
+    rep = vlb_estimate(PointMassOracle(x0), x0, s, 20, RngState(0))
     assert np.max(rep.Lt) < 1e-20
     # decoder mean is exactly x0 -> L0 = 0.5 log(2 pi beta_1)
     assert np.isclose(rep.L0, 0.5 * math.log(2 * math.pi * s.beta[1]), rtol=1e-10)

@@ -146,6 +146,18 @@ def test_cli_missing_checkpoint_exit_2(tmp_path, capsys):
                  "--out", tmp_path / "s.csv"]) == 2
 
 
+def test_checkpoint_of_unknown_kind_is_rejected(tmp_path, capsys):
+    path = tmp_path / "k.ckpt"
+    save_checkpoint(init_noise_predictor(1, hidden=(4,), rng=RngState(6)), SCHED, path)
+    path.write_text(path.read_text().replace("\nkind=noise_predictor\n", "\nkind=bogus\n"))
+    with pytest.raises(ValueError, match="unknown checkpoint kind: bogus"):
+        load_checkpoint(path)
+    out = tmp_path / "s.csv"
+    assert run2(["sample", "--seed", 0, "--checkpoint", path, "--out", out]) == 2
+    assert "unknown checkpoint kind: bogus" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def train_small(tmp_path, name, extra=()):
     out = tmp_path / name
     rc = run2(["train", "--seed", 11, "--desk", "--steps", 50,

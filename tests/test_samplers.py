@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import PointMassOracle
 
 from toydiff.losses import mu_tilde_from_eps
 from toydiff.model import init_noise_predictor
@@ -12,13 +13,6 @@ from toydiff.schedules import make_linear_schedule
 
 SCHED = make_linear_schedule(100, 1e-3, 0.2)
 MODEL = init_noise_predictor(1, hidden=(8,), rng=RngState(0))
-
-
-def oracle_eps(x0):
-    """Bayes-exact eps for a point mass at x0: posterior mean becomes exact."""
-    def fn(x, t):
-        return (x - np.sqrt(SCHED.alpha_bar[t]) * x0) / np.sqrt(1 - SCHED.alpha_bar[t])
-    return fn
 
 
 def test_sampler_config_validation():
@@ -45,7 +39,7 @@ def test_ddpm_step_statistics_match_posterior():
     x0 = np.array([1.0])
     t = 40
     x_t = np.full((10**5, 1), 0.7)
-    out = ddpm_step(None, x_t, t, SCHED, rng=RngState(1), eps_fn=oracle_eps(x0))
+    out = ddpm_step(PointMassOracle(x0), x_t, t, SCHED, rng=RngState(1))
     from toydiff.forward import posterior_q
     post = posterior_q(np.array([0.7]), x0, t, SCHED)
     n = out.shape[0]
@@ -81,19 +75,19 @@ def test_ddim_ddpm_equivalence_mean_and_spread():
     x0 = np.array([-0.5])
     t = 25
     xt = np.array([[0.9]])
-    eps = oracle_eps(x0)
-    mean_ddpm = mu_tilde_from_eps(xt, eps(xt, t), t, SCHED)
+    oracle = PointMassOracle(x0)
+    e = oracle.predict(xt, t, None, SCHED)
+    mean_ddpm = mu_tilde_from_eps(xt, e, t, SCHED)
     sig = ddim_sigma_ddpm_equiv(t, SCHED)
     ab, ab_prev = SCHED.alpha_bar[t], SCHED.alpha_bar[t - 1]
-    e = eps(xt, t)
     mean_ddim = ((xt - np.sqrt(1 - ab) * e) / np.sqrt(SCHED.alpha[t])
                  + np.sqrt(1 - ab_prev - sig ** 2) * e)
     assert np.allclose(mean_ddim, mean_ddpm, rtol=1e-12, atol=1e-12)
 
     n = 10**5
     xt_b = np.full((n, 1), 0.9)
-    a = ddpm_step(None, xt_b, t, SCHED, rng=RngState(3), eps_fn=eps)
-    b = ddim_step(None, xt_b, t, sig, SCHED, rng=RngState(4), eps_fn=eps)
+    a = ddpm_step(oracle, xt_b, t, SCHED, rng=RngState(3))
+    b = ddim_step(oracle, xt_b, t, sig, SCHED, rng=RngState(4))
     sd = math.sqrt(SCHED.beta_tilde[t])
     for out in (a, b):
         assert abs(out.std(ddof=1) - sd) < 4 * sd / math.sqrt(2 * n)
@@ -112,10 +106,19 @@ def test_ddim_step_rejects_oversized_sigma():
 def test_ddim_zero_noise_oracle_collapses_to_clean_point():
     # sigma = 0 with the Bayes-exact eps walks any start to x0
     x0 = np.array([1.7])
-    x = np.array([[4.0]])
+    oracle, x = PointMassOracle(x0), np.array([[4.0]])
     for t in range(SCHED.T, 0, -1):
-        x = ddim_step(None, x, t, 0.0, SCHED, eps_fn=oracle_eps(x0))
+        x = ddim_step(oracle, x, t, 0.0, SCHED)
     assert abs(x[0, 0] - 1.7) < 1e-8
+
+
+def test_sample_reverse_runs_on_an_oracle_predictor():
+    # the full loop takes any object with data_dim and predict, not only a model
+    x0 = np.array([1.7, -0.3])
+    cfg = SamplerConfig(kind="ddim", sigma_policy="zero", n_chains=4, record=True)
+    states = sample_reverse(PointMassOracle(x0), cfg, SCHED, rng=RngState(11))
+    assert states.shape == (SCHED.T + 1, 4, 2)
+    assert np.max(np.abs(final_states(states) - x0)) < 1e-8
 
 
 def test_sample_reverse_deterministic_given_seed():
