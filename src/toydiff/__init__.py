@@ -8,7 +8,7 @@ from .forward import (Trajectory, GmmSpec, default_mixture, forward_step,
                       gmm_sample, gmm_log_pdf)
 from .model import (NoisePredictor, Classifier, init_noise_predictor,
                     init_classifier)
-from .losses import (VlbReport, x0_from_eps, mu_tilde_from_eps, loss_simple,
+from .losses import (VlbReport, x0_from_eps, mu_tilde_from_eps,
                      loss_x0_weighted, loss_eps_weighted, vlb_estimate)
 from .training import TrainConfig, TrainReport, train, train_classifier
 from .samplers import (SamplerConfig, ddpm_step, ddim_step,

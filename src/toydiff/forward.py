@@ -42,19 +42,22 @@ class GmmSpec:
         w = np.asarray(self.weights, dtype=np.float64)
         m = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
         v = np.atleast_2d(np.asarray(self.vars, dtype=np.float64))
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("weights must sum to 1")
-        if np.any(w < 0.0):
+        if not np.all(w >= 0.0):
             raise ValueError("weights must be nonnegative")
         if m.shape != v.shape or m.shape[0] != w.shape[0]:
             raise ValueError("inconsistent mixture shapes")
-        if np.any(v <= 0.0):
-            raise ValueError("component variances must be positive")
+        if not (np.all(np.isfinite(m)) and np.all((v > 0.0) & (v < np.inf))):
+            raise ValueError("component means must be finite, variances positive and finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "vars", v)
         if self.labels is not None:
-            object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+            labels = np.asarray(self.labels, dtype=np.int64)
+            if labels.shape != w.shape or np.any(labels < 0):
+                raise ValueError("labels: one class id >= 0 per component")
+            object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self):

@@ -24,7 +24,7 @@ class DiagGaussian:
         var = np.atleast_1d(np.asarray(self.var, dtype=np.float64))
         if mean.shape != var.shape:
             raise ValueError("mean and var must have the same dimension")
-        if np.any(var < 0.0):
+        if not np.all(var >= 0.0):  # NaN fails too
             raise ValueError("var: negative variance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "var", var)

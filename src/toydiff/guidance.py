@@ -74,6 +74,9 @@ def guided_sample(m, cfg, g, sched, rng):
     ValueError for DDIM before any draw; classifier-free mode runs either
     sampler on the cfg_eps predictor.  States are laid out as in sample_reverse.
     """
+    lo, k = (0, g.classifier.n_classes) if g.mode == "classifier" else (-1, m.conditioning)
+    if g.target is not None and k is not None and not lo <= g.target < k:  # -1: null label
+        raise ValueError(f"target {g.target} out of range [{lo}, {k})")  # before x_T is drawn
     if g.mode == "none":
         return samplers.sample_reverse(m, cfg, sched, y=g.target, rng=rng)
     if g.mode == "classifier-free":

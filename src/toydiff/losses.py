@@ -32,15 +32,6 @@ def mu_tilde_from_eps(x_t, eps, t, sched):
             - (1.0 - a) / np.sqrt(1.0 - ab) * np.asarray(eps)) / np.sqrt(a)
 
 
-def loss_simple(eps_hat, eps):
-    """Unweighted squared residual norm, the training objective."""
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps_hat.shape != eps.shape:
-        raise ValueError("dimension mismatch")
-    return float(np.sum((eps_hat - eps) ** 2))
-
-
 def loss_x0_weighted(x0_hat, x0, t, sched):
     """KL-derived loss on the x0 prediction, weight abar_{t-1} beta^2 / (2 bt (1-abar)^2)."""
     check_t(t, sched, lo=2)  # beta_tilde_1 = 0 leaves the weight undefined at t = 1

@@ -93,25 +93,24 @@ class _Network:
         xb = np.atleast_2d(x)
         if xb.shape[1] != self.data_dim:
             raise ValueError("dimension mismatch between x and model")
-        n = xb.shape[0]
+        n, d = xb.shape
         ts = np.asarray(t)
         check_t(ts if ts.ndim else t, sched)  # a 0-d array compares ~20x slower than an int
         if np.any(ts % 1) if ts.ndim else t != int(t):
             raise ValueError(f"t must be integer-valued, got {t}")
-        cols = [xb, np.broadcast_to(time_features(ts, sched), (n, N_TIME_FEATURES))]
+        feats = np.zeros((n, self.in_features))
+        feats[:, :d] = xb
+        feats[:, d:d + N_TIME_FEATURES] = time_features(ts, sched)
         if self.conditioning is None:
             if y is not None:
                 raise ValueError("unconditional model: y must be None")
         else:
             k = self.conditioning
-            ys = np.full(n, -1, dtype=np.int64) if y is None else \
-                np.broadcast_to(np.asarray(y, dtype=np.int64), (n,))
-            if np.any(ys >= k) or np.any(ys < -1):
-                raise ValueError(f"label out of range [0, {k})")
-            onehot = np.zeros((n, k + 1))
-            onehot[np.arange(n), np.where(ys < 0, k, ys)] = 1.0  # slot k = null
-            cols.append(onehot)
-        return np.concatenate(cols, axis=1), squeeze
+            ys = np.asarray(-1 if y is None else y, dtype=np.int64)
+            if ys.ndim > 1 or ys.size not in (1, n) or np.any(ys >= k) or np.any(ys < -1):
+                raise ValueError(f"label out of range [0, {k}) or not one label per row")
+            feats[np.arange(n), np.where(ys < 0, -1, ys - k - 1)] = 1.0  # last column = null
+        return feats, squeeze
 
     def _forward(self, feats):
         """Forward pass; returns raw output and activation cache."""
@@ -148,23 +147,20 @@ class _Network:
 
 
 class NoisePredictor(_Network):
-    """eps_hat(x_t, t[, y]): linear output head of width data_dim.
+    """eps_hat(x_t, t[, y]) = mlp(features) + sqrt(1 - abar_t) * x, always.
 
-    With ``skip`` enabled the prediction is mlp(features) plus the
-    parameter-free baseline sqrt(1 - abar_t) * x.  A plain tanh net
-    saturates for large |x| and cannot track eps ~ x in the tails, which
-    wrecks deterministic sampling; the baseline restores linear
-    extrapolation while leaving the parameter gradient untouched.
+    The parameter-free baseline is the exact eps for a N(0, I) target, so the
+    linear head (width data_dim) learns only the residual.  A plain tanh net
+    saturates for large |x| and cannot track eps ~ x in the tails, which wrecks
+    deterministic sampling; the baseline restores linear extrapolation while
+    leaving the parameter gradient untouched.
     """
 
-    def __init__(self, data_dim, hidden, conditioning, params, skip=False):
+    def __init__(self, data_dim, hidden, conditioning, params):
         super().__init__(data_dim, hidden, data_dim, conditioning, params)
-        self.skip = bool(skip)
 
     def _baseline(self, feats):
         """sqrt(1 - abar_t) * x, both read from the feature rows."""
-        if not self.skip:
-            return 0.0
         d = self.data_dim
         return feats[:, d + N_TIME_FEATURES - 1, None] * feats[:, :d]
 
@@ -240,11 +236,10 @@ class Classifier(_Network):
         return loss, grad
 
 
-def init_noise_predictor(data_dim, hidden=(64, 64), conditioning=None, rng=None,
-                         skip=True):
+def init_noise_predictor(data_dim, hidden=(64, 64), conditioning=None, rng=None):
     """Fresh noise predictor: uniform(+-1/sqrt(fan_in)) weights, zero biases."""
     params = _init_params(*_widths(data_dim, hidden, data_dim, conditioning), rng)
-    return NoisePredictor(data_dim, hidden, conditioning, params, skip=skip)
+    return NoisePredictor(data_dim, hidden, conditioning, params)
 
 
 def init_classifier(data_dim, n_classes, hidden=(64, 64), rng=None):

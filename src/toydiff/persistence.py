@@ -29,7 +29,7 @@ def save_checkpoint(m, sched, path, seed_note=""):
         f"data_dim={m.data_dim}",
         "hidden=" + ",".join(str(w) for w in m.hidden),
         ("conditioning=" + ("none" if m.conditioning is None else str(m.conditioning))
-         + f"\nskip={int(m.skip)}")
+         + "\nskip=1")  # the baseline is always on; load_checkpoint requires the key
         if kind == "noise_predictor" else f"n_classes={m.n_classes}",
         f"schedule_kind={sched.kind}",
         f"schedule_T={sched.T}",
@@ -94,10 +94,12 @@ def load_checkpoint(path):
     if meta["kind"] == "classifier":
         m = Classifier(int(meta["data_dim"]), hidden, int(meta["n_classes"]), p)
     elif meta["kind"] == "noise_predictor":
+        if meta["skip"] != "1":
+            raise ValueError(f"unsupported checkpoint skip={meta['skip']}: "
+                             "the noise predictor always has skip=1")
         cond = meta["conditioning"]
         m = NoisePredictor(int(meta["data_dim"]), hidden,
-                           None if cond == "none" else int(cond), p,
-                           skip=bool(int(meta.get("skip", 0))))
+                           None if cond == "none" else int(cond), p)
     else:
         raise ValueError(f"unknown checkpoint kind: {meta['kind']}")
     return m, sched

@@ -190,12 +190,12 @@ def test_criterion_07_gradient_checks_20_architectures():
         if i % 2 == 0:
             cond = None if rng.random() < 0.5 else int(rng.integers(2, 4))
             m = init_noise_predictor(d, hidden=hidden, conditioning=cond,
-                                     rng=RngState(800 + i), skip=bool(i % 4 == 0))
+                                     rng=RngState(800 + i))
             y = None if cond is None else rng.integers(-1, cond, size=n_batch)
             eps = rng.normal(size=(n_batch, d))
 
             def f(p):
-                return NoisePredictor(d, hidden, cond, p, skip=m.skip) \
+                return NoisePredictor(d, hidden, cond, p) \
                     .loss_and_grad(x, t, y, eps, DESK)[0]
 
             _, g = m.loss_and_grad(x, t, y, eps, DESK)

@@ -21,6 +21,19 @@ def test_gmm_spec_validation():
         GmmSpec(weights=[0.5, 0.4], means=[[0.0], [1.0]], vars=[[1.0], [1.0]])
     with pytest.raises(ValueError):
         GmmSpec(weights=[1.0], means=[[0.0]], vars=[[0.0]])
+    nan = float("nan")
+    for w, m, v in [([nan, 1.0], [[0.0], [1.0]], [[1.0], [1.0]]),
+                    ([1.5, -0.5], [[0.0], [1.0]], [[1.0], [1.0]]),
+                    ([0.5, 0.5], [[nan], [1.0]], [[1.0], [1.0]]),
+                    ([0.5, 0.5], [[0.0], [float("inf")]], [[1.0], [1.0]]),
+                    ([0.5, 0.5], [[0.0], [1.0]], [[nan], [1.0]]),
+                    ([0.5, 0.5], [[0.0], [1.0]], [[1.0], [float("inf")]])]:
+        with pytest.raises(ValueError):
+            GmmSpec(weights=w, means=m, vars=v)
+    for labels in ([0], [0, 1, 1], [0, -1], [-2, 1]):
+        with pytest.raises(ValueError, match="labels"):
+            GmmSpec(weights=[0.5, 0.5], means=[[0.0], [1.0]], vars=[[1.0], [1.0]],
+                    labels=labels)
 
 
 def test_forward_step_small_beta_stays_close():

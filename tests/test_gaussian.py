@@ -46,8 +46,9 @@ def test_dim_is_last_axis_for_a_stack_of_gaussians():
 
 
 def test_gaussian_rejects_negative_variance():
-    with pytest.raises(ValueError):
-        DiagGaussian([0.0], [-1.0])
+    for var in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            DiagGaussian([0.0], [var])
 
 
 def test_sample_zero_variance_returns_mean_exactly():

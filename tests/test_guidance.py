@@ -165,6 +165,16 @@ def test_cfg_on_an_unconditional_model_fails_before_any_draw():
     assert rng.normal_draws == 0
 
 
+@pytest.mark.parametrize("mode", ["none", "classifier-free", "classifier"])
+def test_target_outside_the_classes_fails_before_any_draw(mode):
+    rng = RngState(11)
+    g = GuidanceConfig(mode=mode, scale=1.0, target=7, classifier=CLS)
+    m = UNCOND if mode == "classifier" else COND
+    with pytest.raises(ValueError, match="target 7 out of range"):
+        guided_sample(m, SamplerConfig(n_chains=5), g, SCHED, rng)
+    assert rng.normal_draws == 0
+
+
 def reference_classifier_guided_sample(m, c, cfg, y, s, sched, rng):
     """The classifier-guided loop as written before it ran on sample_reverse."""
     x = rng.standard_normal((cfg.n_chains, m.data_dim))

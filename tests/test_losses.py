@@ -7,9 +7,8 @@ from oracles import PointMassOracle
 from toydiff import forward
 from toydiff.forward import posterior_q
 from toydiff.gaussian import DiagGaussian, kl_closed_form, log_pdf
-from toydiff.losses import (VlbReport, loss_eps_weighted, loss_simple,
-                            loss_x0_weighted, mu_tilde_from_eps, vlb_estimate,
-                            x0_from_eps)
+from toydiff.losses import (VlbReport, loss_eps_weighted, loss_x0_weighted,
+                            mu_tilde_from_eps, vlb_estimate, x0_from_eps)
 from toydiff.model import init_noise_predictor
 from toydiff.rng import RngState
 from toydiff.schedules import make_linear_schedule
@@ -75,13 +74,6 @@ def test_mu_tilde_t1_equals_x0_recovery():
     xt, eps = np.array([0.8]), np.array([-0.4])
     assert np.allclose(mu_tilde_from_eps(xt, eps, 1, s),
                        x0_from_eps(xt, eps, 1, s), rtol=1e-14)
-
-
-def test_loss_simple_values():
-    assert loss_simple(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-    assert loss_simple(np.array([2.0]), np.array([0.5])) == pytest.approx(2.25)
-    with pytest.raises(ValueError):
-        loss_simple(np.zeros(2), np.zeros(3))
 
 
 def test_weighted_losses_zero_and_scaling():

@@ -45,28 +45,30 @@ def test_init_is_deterministic_given_seed():
 
 
 def test_zero_hidden_is_affine():
-    # no hidden layers -> output is exactly feats @ W + b
-    m = init_noise_predictor(1, hidden=(), rng=RngState(1), skip=False)
+    # no hidden layers -> output is exactly feats @ W + b plus the baseline
+    m = init_noise_predictor(1, hidden=(), rng=RngState(1))
     (W, b), = m._layers()
     x = np.array([[0.7], [-1.3]])
     feats, _ = m._features(x, 10, None, SCHED)
-    assert np.array_equal(m.predict(x, 10, None, SCHED), feats @ W + b)
+    lvl = np.sqrt(1 - SCHED.alpha_bar[10])
+    assert np.array_equal(m.predict(x, 10, None, SCHED), feats @ W + b + lvl * x)
 
 
 def test_zero_params_predict_zero():
-    m = NoisePredictor(1, (4,), None, np.zeros(param_count(1, (4,), 1)), skip=False)
-    out = m.predict(np.array([[1.0], [2.0]]), 5, None, SCHED)
-    assert np.array_equal(out, np.zeros((2, 1)))
+    # the MLP predicts zero, so the predictor returns the bare baseline
+    m = NoisePredictor(1, (4,), None, np.zeros(param_count(1, (4,), 1)))
+    x = np.array([[1.0], [2.0]])
+    feats, _ = m._features(x, 5, None, SCHED)
+    assert np.array_equal(m._forward(feats)[0], np.zeros((2, 1)))
+    assert np.array_equal(m.predict(x, 5, None, SCHED), np.sqrt(1 - SCHED.alpha_bar[5]) * x)
 
 
 def test_skip_baseline_adds_noise_level_times_x():
-    p = np.zeros(param_count(1, (4,), 1))
-    m0 = NoisePredictor(1, (4,), None, p, skip=False)
-    m1 = NoisePredictor(1, (4,), None, p, skip=True)
-    x = np.array([[3.0]])
+    m = NoisePredictor(1, (4,), None, _random_params(param_count(1, (4,), 1), 4))
+    x = np.array([[3.0], [-0.5]])
     lvl = np.sqrt(1 - SCHED.alpha_bar[40])
-    assert np.array_equal(m1.predict(x, 40, None, SCHED),
-                          m0.predict(x, 40, None, SCHED) + lvl * x)
+    mlp, _ = m._forward(m._features(x, 40, None, SCHED)[0])
+    assert np.array_equal(m.predict(x, 40, None, SCHED), mlp + lvl * x)
 
 
 @pytest.mark.parametrize("cond", [None, 2])
@@ -114,6 +116,9 @@ def test_mode_mixing_guards():
     cond = init_noise_predictor(1, hidden=(4,), conditioning=2, rng=RngState(4))
     with pytest.raises(ValueError):
         cond.predict(np.array([[0.0]]), 5, 2, SCHED)
+    for y in ([0, 1], [[0], [1], [1]]):  # not one label, nor one per row
+        with pytest.raises(ValueError):
+            cond.predict(np.zeros((3, 1)), 5, y, SCHED)
 
 
 def test_loss_zero_when_target_equals_prediction():
@@ -154,7 +159,7 @@ def test_noise_predictor_gradient_matches_finite_differences():
     y = rng.integers(-1, 2, size=6)
 
     def f(p):
-        m2 = NoisePredictor(2, (5, 4), 2, p, skip=True)
+        m2 = NoisePredictor(2, (5, 4), 2, p)
         return m2.loss_and_grad(x, t, y, eps, SCHED)[0]
 
     _, g = m.loss_and_grad(x, t, y, eps, SCHED)
@@ -280,11 +285,9 @@ def _random_params(n_params, seed):
 
 @pytest.mark.parametrize("n", [1, 7, 4096])
 @pytest.mark.parametrize("cond", [None, 2])
-@pytest.mark.parametrize("skip", [False, True])
-def test_lean_passes_bit_identical_to_allocating_passes(n, cond, skip):
+def test_lean_passes_bit_identical_to_allocating_passes(n, cond):
     rng = np.random.default_rng(n)
-    m = NoisePredictor(2, (64, 64), cond, _random_params(param_count(2, (64, 64), 2, cond), 1),
-                       skip=skip)
+    m = NoisePredictor(2, (64, 64), cond, _random_params(param_count(2, (64, 64), 2, cond), 1))
     c = Classifier(2, (64, 64), 3, _random_params(param_count(2, (64, 64), 3), 2))
     x, eps = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
     t = rng.integers(1, SCHED.T + 1, size=n)
@@ -313,7 +316,7 @@ def test_reassigning_params_changes_output():
     twin.params = other
     after = twin.predict(x, 20, None, SCHED)
     assert not np.array_equal(after, before)
-    assert np.array_equal(after, NoisePredictor(1, (8,), None, other, skip=True)
+    assert np.array_equal(after, NoisePredictor(1, (8,), None, other)
                           .predict(x, 20, None, SCHED))
     assert np.array_equal(m.predict(x, 20, None, SCHED), before)
     m.params = other
@@ -323,7 +326,7 @@ def test_reassigning_params_changes_output():
 def test_training_leaves_the_constructor_array_unchanged():
     p = init_noise_predictor(1, hidden=(8,), rng=RngState(15)).params
     saved = p.copy()
-    m = NoisePredictor(1, (8,), None, p, skip=True)
+    m = NoisePredictor(1, (8,), None, p)
     train(m, default_mixture(), SCHED, TrainConfig(steps=5, batch_size=8), RngState(16))
     assert np.array_equal(p, saved)
     assert not np.array_equal(m.params, saved)

@@ -24,7 +24,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     save_checkpoint(m, SCHED, path, seed_note="seed=0")
     m2, s2 = load_checkpoint(path)
     assert np.array_equal(m.params, m2.params)
-    assert m2.hidden == (8, 4) and m2.conditioning == 2 and m2.skip == m.skip
+    assert m2.hidden == (8, 4) and m2.conditioning == 2
     assert s2.T == SCHED.T and np.array_equal(
         s2.beta[1:], SCHED.beta[1:]) and s2.kind == "linear"
     x = np.array([[0.37]])
@@ -146,15 +146,22 @@ def test_cli_missing_checkpoint_exit_2(tmp_path, capsys):
                  "--out", tmp_path / "s.csv"]) == 2
 
 
-def test_checkpoint_of_unknown_kind_is_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("line, edited, message", [
+    ("kind=noise_predictor", "kind=bogus", "unknown checkpoint kind: bogus"),
+    ("skip=1", "skip=0", "unsupported checkpoint skip=0"),
+    ("skip=1", None, "missing the key 'skip'"),
+], ids=["kind=bogus", "skip=0", "no-skip-line"])
+def test_checkpoint_of_unknown_kind_is_rejected(tmp_path, capsys, line, edited, message):
     path = tmp_path / "k.ckpt"
     save_checkpoint(init_noise_predictor(1, hidden=(4,), rng=RngState(6)), SCHED, path)
-    path.write_text(path.read_text().replace("\nkind=noise_predictor\n", "\nkind=bogus\n"))
-    with pytest.raises(ValueError, match="unknown checkpoint kind: bogus"):
+    text = path.read_text()
+    assert f"\n{line}\n" in text
+    path.write_text(text.replace(f"\n{line}\n", "\n" if edited is None else f"\n{edited}\n"))
+    with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
     out = tmp_path / "s.csv"
     assert run2(["sample", "--seed", 0, "--checkpoint", path, "--out", out]) == 2
-    assert "unknown checkpoint kind: bogus" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

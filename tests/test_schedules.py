@@ -4,19 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import assert_schedule_invariants
+
 from toydiff.schedules import check_t, make_cosine_schedule, make_linear_schedule
-
-
-def assert_schedule_invariants(s):
-    """beta in (0, 1), alpha = 1 - beta, alpha_bar from 1 strictly down, 0 <= beta_tilde <= beta."""
-    for arr in (s.beta, s.alpha, s.alpha_bar, s.beta_tilde):
-        assert arr.shape == (s.T + 1,)
-    assert np.isnan(s.beta[0]) and np.isnan(s.alpha[0]) and np.isnan(s.beta_tilde[0])
-    b, a, ab, bt = s.beta[1:], s.alpha[1:], s.alpha_bar, s.beta_tilde[1:]
-    assert np.all((b > 0.0) & (b < 1.0))
-    assert np.array_equal(a, 1.0 - b)
-    assert ab[0] == 1.0 and np.all(np.diff(ab) < 0.0)
-    assert bt[0] == 0.0 and np.all(bt >= 0.0) and np.all(bt <= b)
 
 
 @pytest.mark.parametrize("kind, T", [("linear", 1), ("linear", 2), ("linear", 100),

@@ -63,7 +63,7 @@ def test_single_step_matches_finite_difference_oracle():
     from toydiff.model import NoisePredictor
 
     def batch_loss(p):
-        return NoisePredictor(1, (4,), None, p, skip=True).loss_and_grad(
+        return NoisePredictor(1, (4,), None, p).loss_and_grad(
             x_t, t_arr, None, eps, SCHED)[0]
 
     h = 1e-6
