@@ -54,10 +54,11 @@ class GmmSpec:
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "vars", v)
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
-            if labels.shape != w.shape or np.any(labels < 0):
-                raise ValueError("labels: one class id >= 0 per component")
-            object.__setattr__(self, "labels", labels)
+            labels = np.asarray(self.labels)
+            if labels.shape != w.shape or not all(c >= 0 and float(c).is_integer()
+                                                  for c in labels):  # NaN and inf fail too
+                raise ValueError("labels: one integer class id >= 0 per component")
+            object.__setattr__(self, "labels", labels.astype(np.int64))
 
     @property
     def dim(self):
@@ -76,7 +77,7 @@ def default_mixture():
 
 def forward_step(x_prev, t, sched, rng):
     """One noising step: sqrt(alpha_t) x_{t-1} + sqrt(beta_t) z."""
-    check_t(t, sched)
+    t = check_t(t, sched)
     x_prev = np.asarray(x_prev, dtype=np.float64)
     z = rng.standard_normal(x_prev.shape)
     return np.sqrt(sched.alpha[t]) * x_prev + np.sqrt(sched.beta[t]) * z
@@ -87,7 +88,7 @@ def marginal_q(x0, t, sched):
 
     t = 0 returns the point mass at x0.
     """
-    check_t(t, sched, lo=0)
+    t = check_t(t, sched, lo=0)
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     ab = sched.alpha_bar[t]
     return DiagGaussian(np.sqrt(ab) * x0, np.full_like(x0, 1.0 - ab))
@@ -99,7 +100,7 @@ def sample_xt(x0, t, sched, rng):
     The pair satisfies x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps exactly.
     An array t, as the training loop passes, holds one step per row of x0.
     """
-    check_t(t, sched)
+    t = check_t(t, sched)
     x0 = np.asarray(x0, dtype=np.float64)
     eps = rng.standard_normal(x0.shape)
     ab = sched.alpha_bar[t]
@@ -112,7 +113,7 @@ def posterior_q(x_t, x0, t, sched):
 
     At t = 1 this collapses to the point mass at x0.
     """
-    check_t(t, sched)
+    t = check_t(t, sched)
     x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     ab_prev, ab = sched.alpha_bar[t - 1], sched.alpha_bar[t]

@@ -28,8 +28,9 @@ class GuidanceConfig:
             raise ValueError("mode must be 'none', 'classifier' or 'classifier-free'")
         if not self.scale >= 0.0:  # NaN fails too
             raise ValueError("scale must be >= 0")
-        if self.mode != "none" and self.target is None:
-            raise ValueError("guided modes need a target class")
+        if (self.target is None and self.mode != "none"
+                or self.target is not None and not float(self.target).is_integer()):
+            raise ValueError("guided modes need a target class, and a target must be an integer")
         if self.mode == "classifier" and self.classifier is None:
             raise ValueError("classifier mode needs a classifier")
 
@@ -57,8 +58,6 @@ class _FreeGuided:
     """The classifier-free noise predictor x, t -> cfg_eps(m, x, t, target, scale)."""
 
     def __init__(self, m, target, scale):
-        if m.conditioning is None:  # fail before the sampler draws x_T
-            raise ValueError("classifier-free guidance needs a conditional model")
         self.m, self.target, self.scale, self.data_dim = m, target, scale, m.data_dim
 
     def predict(self, x, t, y, sched):
@@ -75,8 +74,10 @@ def guided_sample(m, cfg, g, sched, rng):
     sampler on the cfg_eps predictor.  States are laid out as in sample_reverse.
     """
     lo, k = (0, g.classifier.n_classes) if g.mode == "classifier" else (-1, m.conditioning)
-    if g.target is not None and k is not None and not lo <= g.target < k:  # -1: null label
-        raise ValueError(f"target {g.target} out of range [{lo}, {k})")  # before x_T is drawn
+    if g.target is not None and k is None:  # these checks run before x_T is drawn
+        raise ValueError(f"target {g.target} given, but the model is not a conditional model")
+    if g.target is not None and not lo <= g.target < k:  # -1: null label
+        raise ValueError(f"target {g.target} out of range [{lo}, {k})")
     if g.mode == "none":
         return samplers.sample_reverse(m, cfg, sched, y=g.target, rng=rng)
     if g.mode == "classifier-free":

@@ -18,7 +18,7 @@ from .schedules import check_t
 
 def x0_from_eps(x_t, eps, t, sched):
     """Invert the direct-sampling identity: x0 = (x_t - sqrt(1-abar) eps) / sqrt(abar)."""
-    check_t(t, sched)
+    t = check_t(t, sched)
     ab = sched.alpha_bar[t]
     return (np.asarray(x_t, dtype=np.float64)
             - np.sqrt(1.0 - ab) * np.asarray(eps)) / np.sqrt(ab)
@@ -26,7 +26,7 @@ def x0_from_eps(x_t, eps, t, sched):
 
 def mu_tilde_from_eps(x_t, eps, t, sched):
     """Posterior mean in eps form: (x_t - (1-alpha)/sqrt(1-abar) eps) / sqrt(alpha)."""
-    check_t(t, sched)
+    t = check_t(t, sched)
     a, ab = sched.alpha[t], sched.alpha_bar[t]
     return (np.asarray(x_t, dtype=np.float64)
             - (1.0 - a) / np.sqrt(1.0 - ab) * np.asarray(eps)) / np.sqrt(a)
@@ -34,7 +34,7 @@ def mu_tilde_from_eps(x_t, eps, t, sched):
 
 def loss_x0_weighted(x0_hat, x0, t, sched):
     """KL-derived loss on the x0 prediction, weight abar_{t-1} beta^2 / (2 bt (1-abar)^2)."""
-    check_t(t, sched, lo=2)  # beta_tilde_1 = 0 leaves the weight undefined at t = 1
+    t = check_t(t, sched, lo=2)  # beta_tilde_1 = 0 leaves the weight undefined at t = 1
     bt, b, ab, ab_prev = (sched.beta_tilde[t], sched.beta[t],
                           sched.alpha_bar[t], sched.alpha_bar[t - 1])
     w = (1.0 / (2.0 * bt)) * (ab_prev * b ** 2) / (1.0 - ab) ** 2
@@ -49,7 +49,7 @@ def eps_kl_weight(t, sched):
 
 def loss_eps_weighted(eps_hat, eps, t, sched):
     """KL-derived loss on the noise prediction, weighted by eps_kl_weight."""
-    check_t(t, sched, lo=2)  # beta_tilde_1 = 0 leaves the weight undefined at t = 1
+    t = check_t(t, sched, lo=2)  # beta_tilde_1 = 0 leaves the weight undefined at t = 1
     w = eps_kl_weight(t, sched)
     return float(w * np.sum((np.asarray(eps_hat) - np.asarray(eps)) ** 2))
 

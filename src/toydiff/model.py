@@ -18,15 +18,6 @@ from .schedules import check_t
 N_TIME_FEATURES = 4
 
 
-def time_features(t, sched):
-    """(t/T, sin, cos, noise level) encoding; t scalar or (N,) array."""
-    t = np.asarray(t, dtype=np.float64)
-    frac = t / sched.T
-    lvl = np.sqrt(1.0 - sched.alpha_bar[np.asarray(t, dtype=np.int64)])
-    return np.stack([frac, np.sin(2.0 * np.pi * frac),
-                     np.cos(2.0 * np.pi * frac), lvl], axis=-1)
-
-
 def _widths(data_dim, hidden, out_dim, conditioning):
     """(layer widths, parameter count) of the MLP: features, hidden..., head."""
     if data_dim < 1 or out_dim < 1 or any(w < 1 for w in hidden):
@@ -94,22 +85,25 @@ class _Network:
         if xb.shape[1] != self.data_dim:
             raise ValueError("dimension mismatch between x and model")
         n, d = xb.shape
-        ts = np.asarray(t)
-        check_t(ts if ts.ndim else t, sched)  # a 0-d array compares ~20x slower than an int
-        if np.any(ts % 1) if ts.ndim else t != int(t):
-            raise ValueError(f"t must be integer-valued, got {t}")
+        t = check_t(t, sched)
+        frac = t / sched.T
         feats = np.zeros((n, self.in_features))
         feats[:, :d] = xb
-        feats[:, d:d + N_TIME_FEATURES] = time_features(ts, sched)
+        feats[:, d] = frac  # the N_TIME_FEATURES time-encoding columns follow x
+        feats[:, d + 1] = np.sin(2.0 * np.pi * frac)
+        feats[:, d + 2] = np.cos(2.0 * np.pi * frac)
+        feats[:, d + 3] = np.sqrt(1.0 - sched.alpha_bar[t])
         if self.conditioning is None:
             if y is not None:
                 raise ValueError("unconditional model: y must be None")
         else:
             k = self.conditioning
-            ys = np.asarray(-1 if y is None else y, dtype=np.int64)
-            if ys.ndim > 1 or ys.size not in (1, n) or np.any(ys >= k) or np.any(ys < -1):
-                raise ValueError(f"label out of range [0, {k}) or not one label per row")
-            feats[np.arange(n), np.where(ys < 0, -1, ys - k - 1)] = 1.0  # last column = null
+            ys = np.asarray(-1 if y is None else y)
+            if (ys.ndim > 1 or ys.size not in (1, n) or not np.all((ys >= -1) & (ys < k))
+                    or np.any(ys % 1)):
+                raise ValueError(f"label not an integer in [0, {k}) or not one per row")
+            cols = np.where(ys < 0, -1, ys.astype(np.int64) - k - 1)  # last column = null
+            feats[np.arange(n), cols] = 1.0
         return feats, squeeze
 
     def _forward(self, feats):
@@ -206,7 +200,7 @@ class Classifier(_Network):
 
     def grad_x(self, x, t, y, sched):
         """Analytic gradient of log p(y | x, t) with respect to x."""
-        if not 0 <= y < self.n_classes:
+        if not 0 <= y < self.n_classes or y % 1:
             raise ValueError("invalid class id")
         feats, squeeze = self._features(x, t, None, sched)
         logits, acts = self._forward(feats)
@@ -214,24 +208,24 @@ class Classifier(_Network):
         p = np.exp(logits - m)
         p /= p.sum(axis=1, keepdims=True)
         d_logits = -p
-        d_logits[:, y] += 1.0
+        d_logits[:, int(y)] += 1.0
         _, d_feats = self._backward(acts, d_logits, param_grad=False)
         gx = d_feats[:, :self.data_dim]
         return gx[0] if squeeze else gx
 
     def nll_and_grad(self, x_t, t, y, sched):
         """Mean negative log-likelihood and its parameter gradient."""
-        y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+        y = np.atleast_1d(y)
         feats, _ = self._features(x_t, t, None, sched)
         n = feats.shape[0]
-        if y.shape != (n,) or np.any(y < 0) or np.any(y >= self.n_classes):
-            raise ValueError("labels out of range")
+        if y.shape != (n,) or not np.all((y >= 0) & (y < self.n_classes)) or np.any(y % 1):
+            raise ValueError("labels out of range or not integer-valued")
+        rows = (np.arange(n), y.astype(np.int64, copy=False))
         logits, acts = self._forward(feats)
         lp = _log_softmax(logits)
-        loss = float(-np.mean(lp[np.arange(n), y]))
-        p = np.exp(lp)
-        d_logits = p
-        d_logits[np.arange(n), y] -= 1.0
+        loss = float(-np.mean(lp[rows]))
+        d_logits = np.exp(lp)
+        d_logits[rows] -= 1.0
         grad, _ = self._backward(acts, d_logits / n)
         return loss, grad
 

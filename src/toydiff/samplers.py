@@ -31,8 +31,8 @@ class SamplerConfig:
             raise ValueError("kind must be 'ddpm' or 'ddim'")
         if self.sigma_policy not in ("zero", "ddpm"):
             raise ValueError("sigma_policy must be 'zero' or 'ddpm'")
-        if self.n_chains < 1:
-            raise ValueError("n_chains must be >= 1")
+        if not (isinstance(self.n_chains, (int, np.integer)) and self.n_chains >= 1):
+            raise ValueError("n_chains must be an integer >= 1")
 
 
 def ddpm_step(m, x_t, t, sched, y=None, rng=None, shift=None):
@@ -42,7 +42,7 @@ def ddpm_step(m, x_t, t, sched, y=None, rng=None, shift=None):
     when a ``shift`` hook is given; noise sqrt(beta_tilde_t) z is then
     added for t > 1 and gated off at t = 1.
     """
-    check_t(t, sched)
+    t = check_t(t, sched)
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = m.predict(x_t, t, y, sched)
     mean = mu_tilde_from_eps(x_t, eps_hat, t, sched)
@@ -60,7 +60,7 @@ def ddim_sigma_ddpm_equiv(t, sched):
     Equals sqrt((1-abar_{t-1})/(1-abar_t)) * sqrt(1 - abar_t/abar_{t-1}),
     whose square is beta_tilde_t.
     """
-    check_t(t, sched)
+    t = check_t(t, sched)
     if t == 1:
         return 0.0
     ab_prev, ab = sched.alpha_bar[t - 1], sched.alpha_bar[t]
@@ -73,9 +73,9 @@ def ddim_step(m, x_t, t, sigma_t, sched, y=None, rng=None):
     x_{t-1} = predicted-x0 term + direction term + sigma_t z, with the
     noise drawn only when sigma_t > 0 and t > 1.
     """
-    check_t(t, sched)
+    t = check_t(t, sched)
     ab_prev = sched.alpha_bar[t - 1]
-    if sigma_t < 0.0 or sigma_t ** 2 > 1.0 - ab_prev:
+    if not (sigma_t >= 0.0 and sigma_t ** 2 <= 1.0 - ab_prev):  # NaN fails too
         raise ValueError("sigma_t^2 must lie in [0, 1 - abar_{t-1}]")
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = m.predict(x_t, t, y, sched)
@@ -87,22 +87,19 @@ def ddim_step(m, x_t, t, sigma_t, sched, y=None, rng=None):
     return out
 
 
-def sample_reverse(m, cfg, sched, y=None, rng=None, x_T=None, shift=None):
+def sample_reverse(m, cfg, sched, y=None, rng=None, shift=None):
     """Run n = cfg.n_chains reverse chains from x_T ~ N(0, I) down to x_0.
 
     Returns the states as one (L, n, d) array.  With cfg.record on they
     are the states at times T, T-1, ..., 0 (L = T + 1); with it off only
-    the endpoints at times T and 0 are kept (L = 2).  ``x_T`` overrides
-    the initial draw (shape (n_chains, d)); ``shift(mu, t)`` moves the
-    DDPM step mean (see ddpm_step) and is defined for the DDPM sampler only.
+    the endpoints at times T and 0 are kept (L = 2).  ``shift(mu, t)``
+    moves the DDPM step mean (see ddpm_step) and is defined for the DDPM
+    sampler only.
     """
     if shift is not None and cfg.kind != "ddpm":
         raise ValueError("a mean shift (classifier guidance) is defined for the DDPM "
                          "sampler only")
-    d = m.data_dim
-    n = cfg.n_chains
-    x = rng.standard_normal((n, d)) if x_T is None else \
-        np.array(x_T, dtype=np.float64).reshape(n, d)
+    x = rng.standard_normal((cfg.n_chains, m.data_dim))
     # x is rebound, never written, so correctness needs no copies; without them
     # perfbench's sample_wide peak RSS rose from 59.4 to 63.7 MB (heap layout).
     recorded = [x.copy()]

@@ -79,10 +79,14 @@ def make_cosine_schedule(T, offset=0.008):
 
 
 def check_t(t, sched, lo=1):
-    """Raise ValueError unless lo <= t <= sched.T, for every entry of an array t."""
-    if getattr(t, "ndim", 0):  # a plain comparison is ~10x cheaper than np.ndim on an int
-        ok = t.size == 0 or lo <= t.min() and t.max() <= sched.T
-    else:
-        ok = lo <= t <= sched.T
-    if not ok:
-        raise ValueError(f"t={t} out of range [{lo}, {sched.T}]")
+    """The step index t: an int for a scalar t, an int64 array for an array t.
+
+    Raises ValueError unless every entry is an integer in [lo, sched.T]; NaN
+    and inf fail the range test before any cast."""
+    if not isinstance(t, (int, float, np.number)):  # a 0-d array compares ~20x slower
+        t = np.asarray(t)
+        if np.all((lo <= t) & (t <= sched.T)) and not np.any(t % 1):
+            return t.astype(np.int64, copy=False) if t.ndim else int(t)
+    elif lo <= t <= sched.T and t == int(t):
+        return int(t)
+    raise ValueError(f"t={t} out of range [{lo}, {sched.T}] or not integer-valued")

@@ -27,6 +27,10 @@ def test_guidance_config_validation():
         GuidanceConfig(mode="classifier-free", scale=1.0)
     with pytest.raises(ValueError):
         GuidanceConfig(mode="classifier", scale=1.0, target=1)
+    for mode in ("none", "classifier-free"):
+        for bad in (1.5, float("nan"), np.inf):
+            with pytest.raises(ValueError):
+                GuidanceConfig(mode=mode, scale=1.0, target=bad)
 
 
 def test_classifier_shift_rejects_negative_or_nan_scale():
@@ -165,12 +169,17 @@ def test_cfg_on_an_unconditional_model_fails_before_any_draw():
     assert rng.normal_draws == 0
 
 
-@pytest.mark.parametrize("mode", ["none", "classifier-free", "classifier"])
-def test_target_outside_the_classes_fails_before_any_draw(mode):
+@pytest.mark.parametrize("mode, m, target, match", [
+    pytest.param("none", COND, 7, "target 7 out of range", id="none"),
+    pytest.param("classifier-free", COND, 7, "target 7 out of range", id="classifier-free"),
+    pytest.param("classifier", UNCOND, 7, "target 7 out of range", id="classifier"),
+    # an unconditional model takes no target
+    pytest.param("none", UNCOND, 1, "conditional model", id="none-unconditional"),
+])
+def test_target_outside_the_classes_fails_before_any_draw(mode, m, target, match):
     rng = RngState(11)
-    g = GuidanceConfig(mode=mode, scale=1.0, target=7, classifier=CLS)
-    m = UNCOND if mode == "classifier" else COND
-    with pytest.raises(ValueError, match="target 7 out of range"):
+    g = GuidanceConfig(mode=mode, scale=1.0, target=target, classifier=CLS)
+    with pytest.raises(ValueError, match=match):
         guided_sample(m, SamplerConfig(n_chains=5), g, SCHED, rng)
     assert rng.normal_draws == 0
 

@@ -7,7 +7,7 @@ import pytest
 
 from toydiff.forward import default_mixture
 from toydiff.model import (Classifier, NoisePredictor, _layers, init_classifier,
-                           init_noise_predictor, time_features)
+                           init_noise_predictor)
 from toydiff.rng import RngState
 from toydiff.schedules import make_linear_schedule
 from toydiff.training import TrainConfig, train
@@ -22,7 +22,9 @@ def param_count(data_dim, hidden, out_dim, cond=None):
 
 
 def test_time_features_values():
-    f = time_features(100, SCHED)
+    # columns 1-4 of a 1-D model's features are the time encoding of t
+    m = init_noise_predictor(1, hidden=(4,), rng=RngState(0))
+    f = m._features(np.array([[0.5]]), 100, None, SCHED)[0][0, 1:5]
     assert np.isclose(f[0], 1.0)
     assert np.isclose(f[1], 0.0, atol=1e-12)
     assert np.isclose(f[2], 1.0)
@@ -116,7 +118,8 @@ def test_mode_mixing_guards():
     cond = init_noise_predictor(1, hidden=(4,), conditioning=2, rng=RngState(4))
     with pytest.raises(ValueError):
         cond.predict(np.array([[0.0]]), 5, 2, SCHED)
-    for y in ([0, 1], [[0], [1], [1]]):  # not one label, nor one per row
+    # not one label, nor one per row, nor integer labels
+    for y in ([0, 1], [[0], [1], [1]], 0.7, float("nan"), [0.5, 1, 0]):
         with pytest.raises(ValueError):
             cond.predict(np.zeros((3, 1)), 5, y, SCHED)
 
@@ -217,6 +220,12 @@ def test_classifier_nll_gradient_matches_finite_differences():
     _, g = c.nll_and_grad(x, t, y, SCHED)
     g_fd = fd_grad(f, c.params.copy())
     assert np.linalg.norm(g - g_fd) / np.linalg.norm(g_fd) < 1e-6
+    for bad in ([0.5, 1, 0], [np.nan, 1, 0], [2, 1, 0]):  # labels: integers in [0, 2)
+        with pytest.raises(ValueError):
+            c.nll_and_grad(x[:3], t[:3], bad, SCHED)
+    for bad in (0.5, np.nan, 2):
+        with pytest.raises(ValueError):
+            c.grad_x(x[0], 15, bad, SCHED)
 
 
 def test_no_nan_for_large_inputs():

@@ -22,10 +22,13 @@ def test_train_config_validation():
         TrainConfig(eta=float("nan"))
     with pytest.raises(ValueError):
         TrainConfig(p_drop=1.5)
+    for bad in ({"steps": 2.5}, {"batch_size": 2.5}, {"steps": 2.0}):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
 
 
 def test_train_config_rejects_eval_interval_below_one():
-    for bad in (0, -5):
+    for bad in (0, -5, 2.5):
         with pytest.raises(ValueError):
             TrainConfig(eval_interval=bad)
 
