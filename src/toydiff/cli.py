@@ -10,8 +10,8 @@ desk-scale T=100, [1e-3, 0.2] profile.
 run_cli calls each handler with the RngState of --seed and writes the
 (columns, rows) table it returns (train's returns none) to --out or stdout.
 
-Exit codes: 0 success; 1 usage error (a bad flag, a count below 1, a
-malformed or non-finite vector flag); 2 domain error (a bad setting or
+Exit codes: 0 success; 1 usage error (a bad flag or config line, a count
+below 1, a malformed or non-finite vector flag); 2 domain error (a bad setting or
 path, divergence, a missing or malformed file, a checkpoint of the wrong kind).
 """
 
@@ -50,32 +50,24 @@ def _read_config(path):
     return cfg
 
 
-def _resolve(args, name, default, cast=float):
-    """Flag > config-file value (read once by run_cli) > default."""
-    val = getattr(args, name.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if name in args.config_values:
-        return cast(args.config_values[name])
-    return default
+def _resolve(args, name, default):
+    """The flag's value (a config-file line is parsed as its flag), else default."""
+    val = getattr(args, name.replace("-", "_"))
+    return default if val is None else val
 
 
 def _schedule_from(args):
-    desk = getattr(args, "desk", False)
-    T = int(_resolve(args, "T", 100 if desk else 1000, int))
-    kind = _resolve(args, "schedule", "linear", str)
-    if kind == "linear":
-        b0, b1 = (1e-3, 0.2) if desk else (1e-4, 0.02)
-        return schedules.make_linear_schedule(
-            T, _resolve(args, "beta-start", b0), _resolve(args, "beta-end", b1))
-    if kind == "cosine":
+    T = _resolve(args, "T", 100 if args.desk else 1000)
+    if args.schedule == "cosine":
         return schedules.make_cosine_schedule(T, _resolve(args, "offset", 0.008))
-    raise _UsageError(f"unknown schedule kind: {kind}")
+    b0, b1 = (1e-3, 0.2) if args.desk else (1e-4, 0.02)
+    return schedules.make_linear_schedule(
+        T, _resolve(args, "beta-start", b0), _resolve(args, "beta-end", b1))
 
 
 def _meta(args):
     flags = {f"flag_{k}": v for k, v in sorted(vars(args).items())
-             if k not in ("func", "config_values") and v is not None}
+             if k != "func" and v is not None}
     return {"format_version": FORMAT_VERSION, **flags, "seed": args.seed}
 
 
@@ -112,12 +104,12 @@ def _cmd_train(args, rng):
     sched = _schedule_from(args)
     data = forward.default_mixture()
     cfg = training.TrainConfig(
-        steps=int(_resolve(args, "steps", 5000, int)),
-        batch_size=int(_resolve(args, "batch", 64, int)),
+        steps=_resolve(args, "steps", 5000),
+        batch_size=_resolve(args, "batch", 64),
         eta=_resolve(args, "eta", 1e-2),
         p_drop=_resolve(args, "p-drop", 0.1),
     )
-    hidden = tuple(int(w) for w in _resolve(args, "hidden", "64,64", str).split(","))
+    hidden = tuple(int(w) for w in _resolve(args, "hidden", "64,64").split(","))
     if args.classifier:
         m = init_classifier(data.dim, data.n_components, hidden, rng.spawn(1))
         report = training.train_classifier(m, data, sched, cfg, rng.spawn(2))
@@ -211,7 +203,7 @@ def _add_schedule_flags(p):
     p.add_argument("--desk", action="store_true",
                    help="desk-scale profile: T=100 and linear beta in [1e-3, 0.2], "
                         "unless --T, --beta-start or --beta-end is given")
-    p.add_argument("--config", default=None, help="key=value config file")
+    p.add_argument("--config", default=None, help="key=value lines, each parsed as --key=value")
 
 
 def build_parser():
@@ -277,8 +269,9 @@ def run_cli(argv):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        config = getattr(args, "config", None)
-        args.config_values = _read_config(config) if config else {}
+        if getattr(args, "config", None):  # each line parsed as its flag; argv flags win
+            lines = [f"--{k}={v}" for k, v in _read_config(args.config).items()]
+            args = ap.parse_args(argv[:1] + lines + argv[1:])
         if "" in (args.out, getattr(args, "loss_csv", None)):  # fail before any work
             raise ValueError("--out and --loss-csv need a non-empty path")
         table = args.func(args, RngState(args.seed))

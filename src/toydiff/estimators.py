@@ -8,6 +8,8 @@ Y ~ N(0, 1), whose exact gradient is theta itself.
 
 import numpy as np
 
+from .schedules import check_count
+
 
 def reparam_grad(theta, M, rng):
     """Reparameterised gradient of E[X^2/2] with respect to theta.
@@ -15,8 +17,7 @@ def reparam_grad(theta, M, rng):
     Averages (t1 + t2 y, y (t1 + t2 y)) over y ~ N(0, 1); converges to
     theta as M grows.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    check_count(M, 1, "M")
     t1, t2 = float(theta[0]), float(theta[1])
     y = rng.standard_normal(M)
     g = t1 + t2 * y

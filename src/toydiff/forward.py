@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import DiagGaussian, log_pdf
-from .schedules import check_t
+from .schedules import NO_MAX, check_index, check_t
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,10 @@ class GmmSpec:
         object.__setattr__(self, "vars", v)
         if self.labels is not None:
             labels = np.asarray(self.labels)
-            if labels.shape != w.shape or not all(c >= 0 and float(c).is_integer()
-                                                  for c in labels):  # NaN and inf fail too
+            if labels.shape != w.shape:
                 raise ValueError("labels: one integer class id >= 0 per component")
-            object.__setattr__(self, "labels", labels.astype(np.int64))
+            labels = [check_index(c, 0, NO_MAX, "labels") for c in labels]  # K scalar checks
+            object.__setattr__(self, "labels", np.array(labels, dtype=np.int64))
 
     @property
     def dim(self):

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schedules import check_count
+
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
@@ -64,7 +66,6 @@ def kl_closed_form(q, p):
 
 def kl_mc(q, p, M, rng):
     """Monte-Carlo estimate of KL(q || p) from M draws of q."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    check_count(M, 1, "M")
     x = sample(q, rng, size=M)
     return float(np.mean(log_pdf(q, x) - log_pdf(p, x)))

@@ -14,6 +14,7 @@ mean-shift variant is defined here.
 from dataclasses import dataclass
 
 from . import samplers
+from .schedules import NO_MAX, check_index
 
 
 @dataclass(frozen=True)
@@ -28,9 +29,10 @@ class GuidanceConfig:
             raise ValueError("mode must be 'none', 'classifier' or 'classifier-free'")
         if not self.scale >= 0.0:  # NaN fails too
             raise ValueError("scale must be >= 0")
-        if (self.target is None and self.mode != "none"
-                or self.target is not None and not float(self.target).is_integer()):
-            raise ValueError("guided modes need a target class, and a target must be an integer")
+        if self.target is None and self.mode != "none":
+            raise ValueError("guided modes need a target class")
+        if self.target is not None:
+            check_index(self.target, -1, NO_MAX, "target")  # -1: the null label
         if self.mode == "classifier" and self.classifier is None:
             raise ValueError("classifier mode needs a classifier")
 
@@ -76,8 +78,8 @@ def guided_sample(m, cfg, g, sched, rng):
     lo, k = (0, g.classifier.n_classes) if g.mode == "classifier" else (-1, m.conditioning)
     if g.target is not None and k is None:  # these checks run before x_T is drawn
         raise ValueError(f"target {g.target} given, but the model is not a conditional model")
-    if g.target is not None and not lo <= g.target < k:  # -1: null label
-        raise ValueError(f"target {g.target} out of range [{lo}, {k})")
+    if g.target is not None:  # -1: null label
+        check_index(g.target, lo, k - 1, "target")
     if g.mode == "none":
         return samplers.sample_reverse(m, cfg, sched, y=g.target, rng=rng)
     if g.mode == "classifier-free":

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import forward
 from .gaussian import DiagGaussian, kl_closed_form, log_pdf
-from .schedules import check_t
+from .schedules import check_count, check_t
 
 
 def x0_from_eps(x_t, eps, t, sched):
@@ -43,13 +43,13 @@ def loss_x0_weighted(x0_hat, x0, t, sched):
 
 def eps_kl_weight(t, sched):
     """The eps-form KL weight (1-alpha)^2 / (2 bt alpha (1-abar)) at a scalar or array t >= 2."""
+    t = check_t(t, sched, lo=2)  # beta_tilde_1 = 0 leaves the weight undefined at t = 1
     bt, a, ab = sched.beta_tilde[t], sched.alpha[t], sched.alpha_bar[t]
     return (1.0 - a) ** 2 / (2.0 * bt * a * (1.0 - ab))
 
 
 def loss_eps_weighted(eps_hat, eps, t, sched):
     """KL-derived loss on the noise prediction, weighted by eps_kl_weight."""
-    t = check_t(t, sched, lo=2)  # beta_tilde_1 = 0 leaves the weight undefined at t = 1
     w = eps_kl_weight(t, sched)
     return float(w * np.sum((np.asarray(eps_hat) - np.asarray(eps)) ** 2))
 
@@ -84,8 +84,7 @@ def vlb_estimate(m, x0, sched, M, rng):
     are independent, so their KLs (and log densities) sum into the KL of
     the flattened (M * d,) Gaussians.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    check_count(M, 1, "M")
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     x0s = np.tile(x0, M)  # the M draws side by side, flattened in C order
 

@@ -13,18 +13,18 @@ models, a one-hot label block with a dedicated null slot.
 import numpy as np
 
 from .rng import RngState
-from .schedules import check_t
+from .schedules import check_count, check_index, check_t
 
 N_TIME_FEATURES = 4
 
 
 def _widths(data_dim, hidden, out_dim, conditioning):
-    """(layer widths, parameter count) of the MLP: features, hidden..., head."""
-    if data_dim < 1 or out_dim < 1 or any(w < 1 for w in hidden):
-        raise ValueError("all layer widths must be >= 1")
-    n_in = data_dim + N_TIME_FEATURES + (0 if conditioning is None else conditioning + 1)
-    widths = (n_in,) + tuple(hidden) + (out_dim,)
-    return widths, sum(a * b + b for a, b in zip(widths, widths[1:]))
+    """(data_dim, hidden, out_dim, conditioning) checked as counts and made ints, then
+    the layer widths (features, hidden..., head) and the parameter count of the MLP."""
+    d, out, *hidden = (check_count(w, 1, "layer width") for w in (data_dim, out_dim, *hidden))
+    k = None if conditioning is None else check_count(conditioning, 1, "conditioning")
+    widths = (d + N_TIME_FEATURES + (0 if k is None else k + 1), *hidden, out)
+    return (d, tuple(hidden), out, k), widths, sum(a * b + b for a, b in zip(widths, widths[1:]))
 
 
 def _layers(p, widths):
@@ -56,12 +56,8 @@ class _Network:
     """Shared MLP core: tanh hidden layers, head chosen by subclass."""
 
     def __init__(self, data_dim, hidden, out_dim, conditioning, params):
-        self.data_dim = int(data_dim)
-        self.hidden = tuple(int(w) for w in hidden)
-        self.out_dim = int(out_dim)
-        self.conditioning = None if conditioning is None else int(conditioning)
-        self.widths, self.n_params = _widths(self.data_dim, self.hidden, self.out_dim,
-                                             self.conditioning)
+        sizes, self.widths, self.n_params = _widths(data_dim, hidden, out_dim, conditioning)
+        self.data_dim, self.hidden, self.out_dim, self.conditioning = sizes
         self.in_features = self.widths[0]
         params = np.array(params, dtype=np.float64)  # a copy: SGD updates it in place
         if params.shape != (self.n_params,):
@@ -98,11 +94,10 @@ class _Network:
                 raise ValueError("unconditional model: y must be None")
         else:
             k = self.conditioning
-            ys = np.asarray(-1 if y is None else y)
-            if (ys.ndim > 1 or ys.size not in (1, n) or not np.all((ys >= -1) & (ys < k))
-                    or np.any(ys % 1)):
-                raise ValueError(f"label not an integer in [0, {k}) or not one per row")
-            cols = np.where(ys < 0, -1, ys.astype(np.int64) - k - 1)  # last column = null
+            ys = check_index(-1 if y is None else y, -1, k - 1, "label")  # -1: null label
+            if np.ndim(ys) > 1 or np.size(ys) not in (1, n):
+                raise ValueError("label: need one label, or one per row")
+            cols = np.where(ys < 0, -1, ys - k - 1)  # last column = null
             feats[np.arange(n), cols] = 1.0
         return feats, squeeze
 
@@ -188,10 +183,8 @@ class Classifier(_Network):
     """p(y | x_t, t): K-way log-softmax head over noisy inputs."""
 
     def __init__(self, data_dim, hidden, n_classes, params):
-        if n_classes < 2:
-            raise ValueError("classifier needs at least 2 classes")
-        super().__init__(data_dim, hidden, n_classes, None, params)
-        self.n_classes = int(n_classes)
+        self.n_classes = check_count(n_classes, 2, "n_classes")
+        super().__init__(data_dim, hidden, self.n_classes, None, params)
 
     def log_probs(self, x, t, sched):
         feats, squeeze = self._features(x, t, None, sched)
@@ -200,27 +193,28 @@ class Classifier(_Network):
 
     def grad_x(self, x, t, y, sched):
         """Analytic gradient of log p(y | x, t) with respect to x."""
-        if not 0 <= y < self.n_classes or y % 1:
-            raise ValueError("invalid class id")
+        if np.ndim(y):
+            raise ValueError("grad_x takes one class id")
+        y = check_index(y, 0, self.n_classes - 1, "class id")
         feats, squeeze = self._features(x, t, None, sched)
         logits, acts = self._forward(feats)
         m = logits.max(axis=1, keepdims=True)
         p = np.exp(logits - m)
         p /= p.sum(axis=1, keepdims=True)
         d_logits = -p
-        d_logits[:, int(y)] += 1.0
+        d_logits[:, y] += 1.0
         _, d_feats = self._backward(acts, d_logits, param_grad=False)
         gx = d_feats[:, :self.data_dim]
         return gx[0] if squeeze else gx
 
     def nll_and_grad(self, x_t, t, y, sched):
         """Mean negative log-likelihood and its parameter gradient."""
-        y = np.atleast_1d(y)
+        y = check_index(np.atleast_1d(y), 0, self.n_classes - 1, "labels")
         feats, _ = self._features(x_t, t, None, sched)
         n = feats.shape[0]
-        if y.shape != (n,) or not np.all((y >= 0) & (y < self.n_classes)) or np.any(y % 1):
-            raise ValueError("labels out of range or not integer-valued")
-        rows = (np.arange(n), y.astype(np.int64, copy=False))
+        if y.shape != (n,):
+            raise ValueError("labels: need one per row")
+        rows = (np.arange(n), y)
         logits, acts = self._forward(feats)
         lp = _log_softmax(logits)
         loss = float(-np.mean(lp[rows]))
@@ -232,11 +226,12 @@ class Classifier(_Network):
 
 def init_noise_predictor(data_dim, hidden=(64, 64), conditioning=None, rng=None):
     """Fresh noise predictor: uniform(+-1/sqrt(fan_in)) weights, zero biases."""
-    params = _init_params(*_widths(data_dim, hidden, data_dim, conditioning), rng)
+    params = _init_params(*_widths(data_dim, hidden, data_dim, conditioning)[1:], rng)
     return NoisePredictor(data_dim, hidden, conditioning, params)
 
 
 def init_classifier(data_dim, n_classes, hidden=(64, 64), rng=None):
     """Fresh classifier with the same initialization scheme."""
-    params = _init_params(*_widths(data_dim, hidden, n_classes, None), rng)
+    n_classes = check_count(n_classes, 2, "n_classes")  # before any draw
+    params = _init_params(*_widths(data_dim, hidden, n_classes, None)[1:], rng)
     return Classifier(data_dim, hidden, n_classes, params)

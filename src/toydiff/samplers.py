@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import mu_tilde_from_eps
-from .schedules import check_t
+from .schedules import check_count, check_t
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,7 @@ class SamplerConfig:
             raise ValueError("kind must be 'ddpm' or 'ddim'")
         if self.sigma_policy not in ("zero", "ddpm"):
             raise ValueError("sigma_policy must be 'zero' or 'ddpm'")
-        if not (isinstance(self.n_chains, (int, np.integer)) and self.n_chains >= 1):
-            raise ValueError("n_chains must be an integer >= 1")
+        check_count(self.n_chains, 1, "n_chains")
 
 
 def ddpm_step(m, x_t, t, sched, y=None, rng=None, shift=None):

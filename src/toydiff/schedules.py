@@ -7,11 +7,14 @@ that index t means step t; index 0 of beta/alpha/beta_tilde is unused
 (set to NaN) to keep the 1-based convention honest.
 
 Schedules are immutable after construction; consumers only read.
+check_index and check_count below are the package's one judge of integer inputs.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+NO_MAX = 2**63 - 1  # the finite "no upper bound" of check_index: inf must fail
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,7 @@ def _build(T, beta, kind, args):
 
 def make_linear_schedule(T, beta_start=1e-4, beta_end=0.02):
     """Linearly spaced beta_t from beta_start (t=1) to beta_end (t=T)."""
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError("T: step count must be an integer >= 1")
+    T = check_count(T, 1, "T")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError("beta_start/beta_end: need 0 < beta_start <= beta_end < 1")
     beta = np.linspace(beta_start, beta_end, T)
@@ -66,8 +68,7 @@ def make_cosine_schedule(T, offset=0.008):
     After clipping, alpha_bar is rebuilt from the clipped betas so the product
     identity alpha_bar_t = alpha_bar_{t-1} * alpha_t holds exactly.
     """
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError("T: step count must be an integer >= 1")
+    T = check_count(T, 1, "T")
     if not offset > 0.0:
         raise ValueError("offset: must be > 0")
     t = np.arange(T + 1, dtype=np.float64)
@@ -78,15 +79,25 @@ def make_cosine_schedule(T, offset=0.008):
     return _build(T, beta, "cosine", {"offset": offset})
 
 
-def check_t(t, sched, lo=1):
-    """The step index t: an int for a scalar t, an int64 array for an array t.
+def check_index(v, lo, hi, name):
+    """The index v as an int (scalar v) or an int64 array; ValueError unless every entry
+    is an integer value in [lo, hi], where hi is finite so that NaN and inf fail."""
+    if not isinstance(v, (int, float, np.number)):  # a 0-d array compares ~20x slower
+        v = np.asarray(v)
+        if np.all((lo <= v) & (v <= hi)) and not np.any(v % 1):
+            return v.astype(np.int64, copy=False) if v.ndim else int(v)
+    elif lo <= v <= hi and v == int(v):
+        return int(v)
+    raise ValueError(f"{name} {v} out of range [{lo}, {hi}] or not integer-valued")
 
-    Raises ValueError unless every entry is an integer in [lo, sched.T]; NaN
-    and inf fail the range test before any cast."""
-    if not isinstance(t, (int, float, np.number)):  # a 0-d array compares ~20x slower
-        t = np.asarray(t)
-        if np.all((lo <= t) & (t <= sched.T)) and not np.any(t % 1):
-            return t.astype(np.int64, copy=False) if t.ndim else int(t)
-    elif lo <= t <= sched.T and t == int(t):
-        return int(t)
-    raise ValueError(f"t={t} out of range [{lo}, {sched.T}] or not integer-valued")
+
+def check_t(t, sched, lo=1):
+    """The step index t in [lo, sched.T], as check_index returns it."""
+    return check_index(t, lo, sched.T, "t")
+
+
+def check_count(n, lo, name):
+    """The count n as an int: an int or a numpy integer >= lo; 2.0 and True fail."""
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= lo:
+        return int(n)
+    raise ValueError(f"{name} {n!r} must be an int or a numpy integer >= {lo}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forward, losses
+from .schedules import check_count
 
 
 @dataclass(frozen=True)
@@ -27,15 +28,13 @@ class TrainConfig:
     loss_variant: str = "simple"   # "simple" | "weighted"
 
     def __post_init__(self):
-        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 0
-                and isinstance(self.batch_size, (int, np.integer)) and self.batch_size >= 1):
-            raise ValueError("steps must be an integer >= 0 and batch_size an integer >= 1")
+        check_count(self.steps, 0, "steps")
+        check_count(self.batch_size, 1, "batch_size")
+        check_count(self.eval_interval, 1, "eval_interval")
         if not self.eta >= 0.0:  # NaN fails too
             raise ValueError("eta must be >= 0")
         if not 0.0 <= self.p_drop <= 1.0:
             raise ValueError("p_drop must lie in [0, 1]")
-        if not (isinstance(self.eval_interval, (int, np.integer)) and self.eval_interval >= 1):
-            raise ValueError("eval_interval must be an integer >= 1")
         if self.loss_variant not in ("simple", "weighted"):
             raise ValueError("loss_variant must be 'simple' or 'weighted'")
 

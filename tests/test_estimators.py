@@ -62,5 +62,6 @@ def test_reparam_grad_matches_common_random_number_finite_difference():
 
 
 def test_reparam_grad_rejects_bad_m():
-    with pytest.raises(ValueError):
-        reparam_grad(THETA, 0, RngState(0))
+    for bad in (0, 2.0, 2.5, math.nan):  # a count is an int: 2.0 fails too
+        with pytest.raises(ValueError, match="M"):
+            reparam_grad(THETA, bad, RngState(0))

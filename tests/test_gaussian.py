@@ -141,8 +141,9 @@ def test_kl_mc_single_sample_estimates_average_out():
 
 def test_kl_mc_rejects_bad_m():
     q = DiagGaussian([0.0], [1.0])
-    with pytest.raises(ValueError):
-        kl_mc(q, q, 0, RngState(0))
+    for bad in (0, 2.0, 2.5, math.nan):  # a count is an int: 2.0 fails too
+        with pytest.raises(ValueError, match="M"):
+            kl_mc(q, q, bad, RngState(0))
 
 
 def test_sum_of_gaussians_lemma_property():

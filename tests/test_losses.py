@@ -126,6 +126,11 @@ def test_vlb_oracle_predictor_zeroes_kl_terms():
     # decoder mean is exactly x0 -> L0 = 0.5 log(2 pi beta_1)
     assert np.isclose(rep.L0, 0.5 * math.log(2 * math.pi * s.beta[1]), rtol=1e-10)
     assert rep.LT > 0
+    rng = RngState(0)
+    for bad in (0, 2.0, 2.5, math.nan):  # a count is an int: 2.0 fails too, before any draw
+        with pytest.raises(ValueError, match="M"):
+            vlb_estimate(PointMassOracle(x0), x0, s, bad, rng)
+    assert rng.normal_draws == 0
 
 
 def per_draw_vlb(m, x0, sched, M, rng):

@@ -1,6 +1,8 @@
 import copy
+import math
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +246,36 @@ def test_rejects_wrong_param_length_and_nonfinite():
     bad[0] = np.nan
     with pytest.raises(ValueError):
         NoisePredictor(1, (4,), None, bad)
+
+
+def test_widths_conditioning_and_class_counts_must_be_integers():
+    # a float width used to be truncated (1.9 -> 1) or to fail inside numpy
+    n = param_count(1, (4,), 1)
+    builds = {"layer width": (lambda w: NoisePredictor(w, (4,), None, np.zeros(n)),
+                              lambda w: NoisePredictor(1, (w,), None, np.zeros(n)),
+                              lambda w: Classifier(1, (w,), 2, np.zeros(n + 5)),
+                              lambda w: init_noise_predictor(w, hidden=(4,)),
+                              lambda w: init_noise_predictor(1, hidden=(w,)),
+                              lambda w: init_classifier(w, 2, hidden=(4,)),
+                              lambda w: init_classifier(1, 2, hidden=(w,))),
+              "conditioning": (lambda k: init_noise_predictor(1, (4,), conditioning=k),),
+              "n_classes": (lambda k: init_classifier(1, k, hidden=(4,)),
+                            lambda k: Classifier(1, (4,), k, np.zeros(n + 5)))}
+    bad = {"layer width": (1.9, 4.7, 4.0, 0, math.nan),
+           "conditioning": (-1, 0, 2.0, 1.5),  # 0 or -1 left the model no label to take
+           "n_classes": (2.5, 2.0, 1)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, makes in builds.items():
+            for make in makes:
+                for v in bad[name]:
+                    with pytest.raises(ValueError, match=name):
+                        make(v)
+    m = init_noise_predictor(np.int64(1), (np.int64(4),), np.int64(2), RngState(0))
+    assert m.hidden == (4,) and m.widths == (1 + 4 + 3, 4, 1)
+    assert all(type(v) is int for v in (m.data_dim, *m.hidden, m.out_dim, m.conditioning))
+    c = Classifier(1, np.array([4]), np.int64(2), np.zeros(n + 5))
+    assert c.hidden == (4,) and type(c.n_classes) is int
 
 
 def test_fractional_t_is_rejected_and_integral_float_t_accepted():

@@ -1,9 +1,12 @@
-"""No toydiff module uses another toydiff module's private names.
+"""No toydiff module uses another toydiff module's private names, and only
+`schedules` decides what a valid integer input is.
 
 A `_`-prefixed name is private to the module that defines it.  The check
 parses every module of the package and fails on a `from .other import _x`
 and on an attribute read `other._x` (or `Imported._x`) where `other` or
-`Imported` was imported from another toydiff module.
+`Imported` was imported from another toydiff module.  A second check fails
+if a module other than `schedules` tests integrality itself instead of
+calling `check_index` or `check_count`.
 """
 
 import ast
@@ -44,3 +47,14 @@ def test_no_module_uses_another_modules_private_names():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 10
     assert [v for path in modules for v in _violations(path)] == []
+
+
+INTEGRALITY_TESTS = ("np.integer", "% 1", ".is_integer(", "astype(np.int64")
+
+
+def test_only_schedules_decides_what_an_integer_input_is():
+    found = [f"{path.name}:{i} {line.strip()}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "schedules.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if any(pattern in line for pattern in INTEGRALITY_TESTS)]
+    assert found == []

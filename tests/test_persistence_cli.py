@@ -335,6 +335,11 @@ def _bad_input(tmp_path, case):
         short = tmp_path / "short.csv"
         short.write_text("# seed=0\nchain,t,dim0\n0,0\n1,0,2.5\n")
         return ["hist", "--seed", 0, "--input", short, "--out", tmp_path / "h.csv"]
+    if case.startswith("config-"):  # a config line is parsed as the flag it names
+        cfgf = tmp_path / "bad.cfg"
+        cfgf.write_text({"config-unknown-key": "stpes=10\n",
+                         "config-fractional-count": "steps=2.5\n"}[case])
+        return ["train", "--seed", 0, "--desk", "--config", cfgf, "--out", tmp_path / "h.csv"]
     train = ["train", "--seed", 0, "--desk", "--steps", 1, "--hidden", 4]
     # NaN/inf values and empty paths; each would write to h.csv if it got that far
     writes_h = {
@@ -380,6 +385,8 @@ def _bad_input(tmp_path, case):
     ("sample-cfg-scale-nan", 2, "scale must be >= 0"),
     ("train-eta-nan", 2, "eta must be >= 0"),
     ("train-loss-csv-empty", 2, "--loss-csv"),
+    ("config-unknown-key", 1, "unrecognized arguments: --stpes=10"),
+    ("config-fractional-count", 1, "--steps: invalid int value: '2.5'"),
 ])
 def test_cli_bad_input_exits_with_message(tmp_path, capsys, case, code, message):
     argv = _bad_input(tmp_path, case)

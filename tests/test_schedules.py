@@ -9,7 +9,8 @@ from oracles import assert_schedule_invariants
 
 from toydiff.forward import forward_step, marginal_q, posterior_q, sample_xt
 from toydiff.gaussian import DiagGaussian
-from toydiff.losses import loss_eps_weighted, loss_x0_weighted, mu_tilde_from_eps, x0_from_eps
+from toydiff.losses import (eps_kl_weight, loss_eps_weighted, loss_x0_weighted,
+                            mu_tilde_from_eps, x0_from_eps)
 from toydiff.model import init_noise_predictor
 from toydiff.rng import RngState
 from toydiff.samplers import ddim_sigma_ddpm_equiv, ddim_step, ddpm_step
@@ -147,6 +148,7 @@ T_USERS = {  # every public function that takes a step t, at two rows of x
     "mu_tilde_from_eps": lambda t: mu_tilde_from_eps(X, 0.5 * X, t, S5),
     "loss_x0_weighted": lambda t: loss_x0_weighted(X, 0.5 * X, t, S5),
     "loss_eps_weighted": lambda t: loss_eps_weighted(X, 0.5 * X, t, S5),
+    "eps_kl_weight": lambda t: eps_kl_weight(t, S5),
     "ddpm_step": lambda t: ddpm_step(NET, X, t, S5, rng=RngState(0)),
     "ddim_sigma_ddpm_equiv": lambda t: ddim_sigma_ddpm_equiv(t, S5),
     "ddim_step": lambda t: ddim_step(NET, X, t, 0.0, S5),
