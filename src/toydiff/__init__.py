@@ -15,7 +15,7 @@ from .samplers import (SamplerConfig, ddpm_step, ddim_step,
                        ddim_sigma_ddpm_equiv, sample_reverse, final_states)
 from .guidance import GuidanceConfig, classifier_shift, cfg_eps, guided_sample
 from .estimators import reparam_grad
-from .evaluation import MetricReport, wasserstein1_1d, mode_masses, metric_report
+from .evaluation import wasserstein1_1d, mode_masses
 from .persistence import save_checkpoint, load_checkpoint, write_csv
 
 __version__ = "0.1.0"

@@ -2,16 +2,17 @@
 
 Subcommands: train, sample, forward, vlb, kl-demo, reparam-demo, hist.
 Every command requires --seed and identical invocations produce
-byte-identical output files.  Flags override key=value config files,
-which override built-in defaults; the defaults are the canonical
-1000-step linear [1e-4, 0.02] schedule, with --desk switching to the
-desk-scale T=100, [1e-3, 0.2] profile.
+byte-identical output files.  Flags override key=value config files, and
+only the flags given reach the library: every other value is the default
+of the library function that takes it.  The CLI's own defaults are T = 1000
+and, under --desk, the desk-scale profile T = 100, linear beta in [1e-3, 0.2].
 
 run_cli calls each handler with the RngState of --seed and writes the
 (columns, rows) table it returns (train's returns none) to --out or stdout.
 
-Exit codes: 0 success; 1 usage error (a bad flag or config line, a count
-below 1, a malformed or non-finite vector flag); 2 domain error (a bad setting or
+Exit codes: 0 success; 1 usage error (a bad flag or config line, an --n, --M,
+--bins or --hidden width below 1, a flag the run would ignore, a malformed or
+non-finite vector flag); 2 domain error (a bad setting or
 path, divergence, a missing or malformed file, a checkpoint of the wrong kind).
 """
 
@@ -50,33 +51,47 @@ def _read_config(path):
     return cfg
 
 
-def _resolve(args, name, default):
-    """The flag's value (a config-file line is parsed as its flag), else default."""
-    val = getattr(args, name.replace("-", "_"))
-    return default if val is None else val
+def _given(args, **params):
+    """{library parameter: value} of the flags given on the command line or in --config;
+    params maps each flag's dest to the parameter it sets."""
+    return {p: getattr(args, d) for d, p in params.items() if getattr(args, d) is not None}
+
+
+def _unused(args, why, *dests):
+    """A usage error naming the first flag of dests that was given: this run ignores it."""
+    for d in dests:
+        if getattr(args, d) is not None:
+            raise _UsageError(f"--{d.replace('_', '-')} does not apply {why}")
 
 
 def _schedule_from(args):
-    T = _resolve(args, "T", 100 if args.desk else 1000)
+    profile = {"T": 100, "beta_start": 1e-3, "beta_end": 0.2} if args.desk else {"T": 1000}
     if args.schedule == "cosine":
-        return schedules.make_cosine_schedule(T, _resolve(args, "offset", 0.008))
-    b0, b1 = (1e-3, 0.2) if args.desk else (1e-4, 0.02)
-    return schedules.make_linear_schedule(
-        T, _resolve(args, "beta-start", b0), _resolve(args, "beta-end", b1))
+        _unused(args, "to a cosine schedule", "beta_start", "beta_end")
+        given = _given(args, T="T", offset="offset")
+        return schedules.make_cosine_schedule(**{"T": profile["T"], **given})
+    _unused(args, "to a linear schedule", "offset")
+    given = _given(args, T="T", beta_start="beta_start", beta_end="beta_end")
+    return schedules.make_linear_schedule(**{**profile, **given})
 
 
 def _meta(args):
-    flags = {f"flag_{k}": v for k, v in sorted(vars(args).items())
-             if k != "func" and v is not None}
+    flags = {f"flag_{k}": ",".join(map(str, v)) if isinstance(v, tuple) else v
+             for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
     return {"format_version": FORMAT_VERSION, **flags, "seed": args.seed}
 
 
 def _count(text):
-    """argparse type of --n, --M and --bins: an integer >= 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+    """argparse type of --n, --M, --bins and each --hidden width: an integer >= 1."""
+    try:
+        return schedules.check_count(int(text), 1, "count")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs integers >= 1, got {text!r}")
+
+
+def _hidden(text):
+    """argparse type of --hidden: comma-separated layer widths, each a _count."""
+    return tuple(_count(w) for w in text.split(","))
 
 
 def _parse_vec(text, flag, n=None):
@@ -101,21 +116,19 @@ def _load(path, kind):
 
 
 def _cmd_train(args, rng):
+    if not args.conditional:
+        _unused(args, "without --conditional", "p_drop")
     sched = _schedule_from(args)
     data = forward.default_mixture()
     cfg = training.TrainConfig(
-        steps=_resolve(args, "steps", 5000),
-        batch_size=_resolve(args, "batch", 64),
-        eta=_resolve(args, "eta", 1e-2),
-        p_drop=_resolve(args, "p-drop", 0.1),
-    )
-    hidden = tuple(int(w) for w in _resolve(args, "hidden", "64,64").split(","))
+        **_given(args, steps="steps", batch="batch_size", eta="eta", p_drop="p_drop"))
+    hidden = _given(args, hidden="hidden")
     if args.classifier:
-        m = init_classifier(data.dim, data.n_components, hidden, rng.spawn(1))
+        m = init_classifier(data.dim, data.n_components, rng=rng.spawn(1), **hidden)
         report = training.train_classifier(m, data, sched, cfg, rng.spawn(2))
     else:
         cond = data.n_components if args.conditional else None
-        m = init_noise_predictor(data.dim, hidden, cond, rng.spawn(1))
+        m = init_noise_predictor(data.dim, conditioning=cond, rng=rng.spawn(1), **hidden)
         report = training.train(m, data, sched, cfg, rng.spawn(2))
     persistence.save_checkpoint(m, sched, args.out, seed_note=f"seed={args.seed}")
     if args.loss_csv is not None:
@@ -223,9 +236,10 @@ def build_parser():
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--p-drop", type=float, default=None)
-    p.add_argument("--hidden", default=None)
-    p.add_argument("--conditional", action="store_true")
-    p.add_argument("--classifier", action="store_true",
+    p.add_argument("--hidden", type=_hidden, default=None, help="comma-separated widths")
+    g = p.add_mutually_exclusive_group()  # the classifier takes no class input
+    g.add_argument("--conditional", action="store_true")
+    g.add_argument("--classifier", action="store_true",
                    help="train the class predictor instead of the noise predictor")
     p.add_argument("--loss-csv", default=None)
 

@@ -1,22 +1,10 @@
 """Distribution-level metrics for judging generated samples.
 
-Empirical 1-Wasserstein distance in 1-D, per-mode mass accounting by
-nearest mode mean (valid for well-separated mixtures only), and moment
-summaries.
+Empirical 1-Wasserstein distance in 1-D and per-mode mass accounting by
+nearest mode mean (valid for well-separated mixtures only).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    wasserstein1: float
-    mode_masses: np.ndarray
-    mean: np.ndarray
-    std: np.ndarray
-    n: int
 
 
 def wasserstein1_1d(a, b):
@@ -24,9 +12,12 @@ def wasserstein1_1d(a, b):
 
     Equal sizes: mean |sorted a - sorted b|.  Unequal sizes: mean absolute
     difference of linearly interpolated quantile functions on a common grid.
+    Each sample is an (n,) or (n, 1) array.
     """
-    a = np.ravel(np.asarray(a, dtype=np.float64))
-    b = np.ravel(np.asarray(b, dtype=np.float64))
+    a, b = (np.asarray(v, dtype=np.float64) for v in (a, b))
+    if not all(v.ndim in (1, 2) and v.shape[1:] in ((), (1,)) for v in (a, b)):
+        raise ValueError(f"1-D samples must be (n,) or (n, 1), got {a.shape} and {b.shape}")
+    a, b = a.ravel(), b.ravel()
     if a.size == 0 or b.size == 0:
         raise ValueError("empty sample")
     if a.size == b.size:
@@ -39,8 +30,10 @@ def wasserstein1_1d(a, b):
 
 
 def mode_masses(samples, spec):
-    """Fraction of samples nearest to each mode mean of the mixture."""
-    x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    """Fraction of the (n, spec.dim) samples nearest to each mode mean of the mixture."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.dim:
+        raise ValueError(f"samples of shape {x.shape} are not (n, {spec.dim})")
     if x.shape[0] == 0:
         raise ValueError("empty sample")
     if spec.n_components < 2:
@@ -49,10 +42,3 @@ def mode_masses(samples, spec):
     assign = np.argmin(d2, axis=1)
     return np.bincount(assign, minlength=spec.n_components) / x.shape[0]
 
-
-def metric_report(samples, target_samples, spec):
-    """Bundle W1 (1-D only), mode masses, and moments into one report."""
-    x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    w1 = wasserstein1_1d(x, target_samples) if x.shape[1] == 1 else float("nan")
-    return MetricReport(wasserstein1=w1, mode_masses=mode_masses(x, spec),
-                        mean=x.mean(axis=0), std=x.std(axis=0), n=x.shape[0])

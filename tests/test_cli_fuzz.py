@@ -7,7 +7,8 @@ of an argv takes a mangled one (empty, NaN, negative, zero, the wrong
 length, a missing file, a truncated checkpoint, a checkpoint of the
 other kind).
 Every count stays at 5 or below and train always runs at most 3 steps
-of a width-4 network, so the whole test takes about a second.
+of a network whose widths are 4 or less (a mangled --hidden fails to parse
+or gives widths of at most 3), so the whole test takes about a second.
 """
 
 import argparse
@@ -24,9 +25,7 @@ from toydiff.cli import build_parser, run_cli
 
 SUBPARSERS = next(a for a in build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)).choices
-# flags that always get a fixed value: train stays tiny whatever is drawn
-FIXED = {("train", "--hidden"): "4"}
-ALWAYS = {"--steps", "--n", "--M", "--bins"}
+ALWAYS = {"--steps", "--n", "--M", "--bins", "--hidden"}
 OUTPUTS = {"--out", "--loss-csv"}
 
 
@@ -48,26 +47,24 @@ def files(tmp_path_factory):
             "missing": str(d / "no" / "such.file")}
 
 
-def _valid(command, action, f):
-    """The values the flag accepts in this subcommand."""
+def _valid(action, f):
+    """The values the flag accepts."""
     flag = action.option_strings[0]
     if action.choices:
         return list(action.choices)
     paths = {"--checkpoint": f["noise"], "--classifier": f["cls"], "--input": f["samples"],
              "--config": f["config"], "--out": "out", "--loss-csv": "loss.csv"}
-    values = {"--seed": "0", "--T": "10", "--beta-start": "0.001", "--beta-end": "0.2",
+    values = {"--seed": "0", "--T": "10", "--hidden": "4", "--beta-start": "0.001", "--beta-end": "0.2",
               "--offset": "0.008", "--steps": "3", "--batch": "5", "--eta": "0.01",
               "--p-drop": "0.1", "--n": "5", "--M": "5", "--bins": "5", "--label": "1",
               "--scale": "1.5", "--x0": "0.5", "--q": "1,1", "--p": "0,4",
               "--theta": "0.5,1.5"}
-    return [FIXED.get((command, flag)) or paths.get(flag) or values[flag]]
+    return [paths.get(flag) or values[flag]]
 
 
-def _mangled(command, action, f):
+def _mangled(action, f):
     """The bad values drawn for one flag."""
     flag = action.option_strings[0]
-    if (command, flag) in FIXED:
-        return [FIXED[command, flag]]
     values = ["", "nan", "-1", "0", "1,2,3", f["missing"]]
     if flag not in OUTPUTS:  # never write over a fixture
         values += [f["truncated"], f["noise"] if flag == "--classifier" else f["cls"]]
@@ -80,13 +77,13 @@ def argvs(draw, f):
     command = draw(st.sampled_from(sorted(SUBPARSERS)))
     actions = [a for a in SUBPARSERS[command]._actions if a.option_strings and a.dest != "help"]
     kept = [a for a in actions if a.required or a.option_strings[0] in ALWAYS
-            or (command, a.option_strings[0]) in FIXED or draw(st.booleans())]
+            or draw(st.booleans())]
     bad = draw(st.sampled_from([None] + [a for a in kept if a.nargs != 0]))
     argv = [command]
     for a in kept:
         argv.append(a.option_strings[0])
         if a.nargs != 0:  # not a store_true switch
-            pool = _mangled(command, a, f) if a is bad else _valid(command, a, f)
+            pool = _mangled(a, f) if a is bad else _valid(a, f)
             argv.append(draw(st.sampled_from(pool)))
     return argv
 

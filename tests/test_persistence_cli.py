@@ -14,6 +14,7 @@ from toydiff.model import init_classifier, init_noise_predictor
 from toydiff.persistence import load_checkpoint, save_checkpoint, write_csv
 from toydiff.rng import RngState
 from toydiff.schedules import make_cosine_schedule, make_linear_schedule
+from toydiff.training import TrainConfig
 
 SCHED = make_linear_schedule(10, 1e-3, 0.2)
 
@@ -194,6 +195,17 @@ def checkpoint_meta(path):
 
 
 def test_cli_train_desk_selects_desk_betas(tmp_path):
+    # the CLI sets only T (and the desk betas); the schedule constructors supply the rest
+    for flags, kind, expected in [
+            ([], "linear", {"T": 1000, "beta_start": 1e-4, "beta_end": 0.02}),
+            (["--desk"], "linear", {"T": 100, "beta_start": 1e-3, "beta_end": 0.2}),
+            (["--schedule", "cosine"], "cosine", {"T": 1000, "offset": 0.008}),
+            (["--desk", "--schedule", "cosine"], "cosine", {"T": 100, "offset": 0.008})]:
+        out = tmp_path / "profile.ckpt"
+        assert run2(["train", "--seed", 0, "--steps", 0, *flags, "--out", out]) == 0
+        meta = checkpoint_meta(out)
+        assert meta.pop("schedule_kind") == kind
+        assert {k[len("schedule_"):]: float(v) for k, v in meta.items()} == expected
     meta = checkpoint_meta(train_small(tmp_path, "desk.ckpt"))
     assert (meta["schedule_T"], float(meta["schedule_beta_start"]),
             float(meta["schedule_beta_end"])) == ("100", 1e-3, 0.2)
@@ -204,6 +216,15 @@ def test_cli_train_desk_selects_desk_betas(tmp_path):
         "--beta-start", "0.002", "--config", cfgf]))
     assert (float(meta["schedule_beta_start"]),
             float(meta["schedule_beta_end"])) == (0.002, 0.05)
+
+
+def test_cli_train_without_training_flags_uses_library_defaults(tmp_path, monkeypatch):
+    seen = []
+    for name in ("train", "train_classifier"):
+        monkeypatch.setattr(cli.training, name, lambda m, d, s, cfg, rng: seen.append((m, cfg)))
+    for flags in ([], ["--classifier"]):
+        assert run2(["train", "--seed", 0, "--desk", *flags, "--out", tmp_path / "m.ckpt"]) == 0
+    assert [(m.hidden, cfg) for m, cfg in seen] == [((64, 64), TrainConfig())] * 2
 
 
 def test_cli_sample_rerun_byte_identical(tmp_path):
@@ -341,8 +362,20 @@ def _bad_input(tmp_path, case):
                          "config-fractional-count": "steps=2.5\n"}[case])
         return ["train", "--seed", 0, "--desk", "--config", cfgf, "--out", tmp_path / "h.csv"]
     train = ["train", "--seed", 0, "--desk", "--steps", 1, "--hidden", 4]
-    # NaN/inf values and empty paths; each would write to h.csv if it got that far
+    forward = ["forward", "--seed", 0, "--T", 5, "--x0", 1]
+    # bad values, empty paths and flags the run ignores; each would write h.csv if it got
+    # that far
     writes_h = {
+        "train-hidden-fractional": [*train, "--hidden", "4.5"],
+        "train-hidden-empty": [*train, "--hidden", ""],
+        "train-hidden-trailing-comma": [*train, "--hidden", "4,"],
+        "train-hidden-zero": [*train, "--hidden", "0"],
+        "train-classifier-conditional": [*train, "--classifier", "--conditional"],
+        "train-p-drop-unconditional": [*train, "--p-drop", "0"],
+        "train-p-drop-classifier": [*train, "--classifier", "--p-drop", "0.2"],
+        "forward-cosine-beta-start": [*forward, "--schedule", "cosine", "--beta-start", 0.5],
+        "forward-cosine-beta-end": [*forward, "--schedule", "cosine", "--beta-end", 0.5],
+        "forward-linear-offset": [*forward, "--offset", 0.1],
         "kl-q-nan": ["kl-demo", "--seed", 0, "--q", "1,nan", "--p", "0,4", "--M", 10],
         "forward-x0-nan": ["forward", "--seed", 0, "--desk", "--x0", "nan"],
         "forward-x0-inf": ["forward", "--seed", 0, "--desk", "--x0", "inf"],
@@ -387,6 +420,16 @@ def _bad_input(tmp_path, case):
     ("train-loss-csv-empty", 2, "--loss-csv"),
     ("config-unknown-key", 1, "unrecognized arguments: --stpes=10"),
     ("config-fractional-count", 1, "--steps: invalid int value: '2.5'"),
+    ("train-hidden-fractional", 1, "--hidden: needs integers >= 1, got '4.5'"),
+    ("train-hidden-empty", 1, "--hidden: needs integers >= 1, got ''"),
+    ("train-hidden-trailing-comma", 1, "--hidden: needs integers >= 1, got ''"),
+    ("train-hidden-zero", 1, "--hidden: needs integers >= 1, got '0'"),
+    ("train-classifier-conditional", 1, "--conditional: not allowed with argument --classifier"),
+    ("train-p-drop-unconditional", 1, "--p-drop does not apply without --conditional"),
+    ("train-p-drop-classifier", 1, "--p-drop does not apply without --conditional"),
+    ("forward-cosine-beta-start", 1, "--beta-start does not apply to a cosine schedule"),
+    ("forward-cosine-beta-end", 1, "--beta-end does not apply to a cosine schedule"),
+    ("forward-linear-offset", 1, "--offset does not apply to a linear schedule"),
 ])
 def test_cli_bad_input_exits_with_message(tmp_path, capsys, case, code, message):
     argv = _bad_input(tmp_path, case)
