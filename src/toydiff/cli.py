@@ -138,6 +138,12 @@ def _cmd_train(args, rng):
 def _cmd_sample(args, rng):
     if args.guidance == "classifier" and args.classifier is None:
         raise _UsageError("--guidance classifier needs --classifier")
+    if args.guidance != "classifier":
+        _unused(args, "without --guidance classifier", "classifier")
+    if args.guidance == "none" and args.scale != 0.0:  # NaN fails too
+        raise _UsageError("a nonzero --scale does not apply without --guidance")
+    if args.sampler == "ddpm" and args.sigma != "zero":
+        raise _UsageError("--sigma ddpm does not apply to --sampler ddpm")
     m, sched = _load(args.checkpoint, NoisePredictor)
     c = _load(args.classifier, Classifier)[0] if args.guidance == "classifier" else None
     cfg = samplers.SamplerConfig(kind=args.sampler, sigma_policy=args.sigma,

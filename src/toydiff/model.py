@@ -8,6 +8,20 @@ hand-derived and verified against finite differences in the test suite.
 Input features are the state x concatenated with a 4-feature time encoding
 (t/T, sin(2 pi t/T), cos(2 pi t/T), sqrt(1 - abar_t)) and, for conditional
 models, a one-hot label block with a dedicated null slot.
+
+Inference (NoisePredictor.predict, Classifier.log_probs, Classifier.grad_x)
+builds the features of all n rows at once, then runs the MLP over blocks of
+at most ROWS rows into one (n, out) array.  Each layer's (ROWS, width)
+temporaries then stay in cache, and peak inference memory no longer grows
+with n times the hidden width.  A call with n <= ROWS, and every training
+batch, runs in one pass.  Above ROWS rows BLAS may round a product
+differently by row count, so a blocked result can differ from a one-pass
+result in the last bits; the tests hold it to 1e-12.  ROWS = 256 was chosen
+by timing one call at n = 10,000 (hidden (64, 64), one OpenBLAS thread,
+2-vCPU Xeon): predict / grad_x took 10.2 / 21.2 ms in one pass and 8.4 / 19.8,
+7.1 / 14.8, 6.5 / 12.4, 6.6 / 11.9, 6.3 / 11.3, 6.4 / 11.8 and 6.7 / 12.7 ms at
+ROWS = 32, 64, 128, 256, 512, 1024 and 2048.  128 to 1024 tie within the
+noise, and 256 keeps a (ROWS, 64) block at 128 KB.
 """
 
 import numpy as np
@@ -16,6 +30,7 @@ from .rng import RngState
 from .schedules import check_count, check_index, check_t
 
 N_TIME_FEATURES = 4
+ROWS = 256  # rows per block of an inference pass (see above)
 
 
 def _widths(data_dim, hidden, out_dim, conditioning):
@@ -134,6 +149,21 @@ class _Network:
                 delta *= np.subtract(1.0, np.square(acts[i], out=acts[i]), out=acts[i])
         return flat, delta
 
+    def _by_rows(self, feats, width, f):
+        """f(feats) when n <= ROWS; else f over blocks of at most ROWS rows of feats,
+        written into one (n, width) array."""
+        n = feats.shape[0]
+        if n <= ROWS:
+            return f(feats)
+        out = np.empty((n, width))
+        for i in range(0, n, ROWS):
+            out[i:i + ROWS] = f(feats[i:i + ROWS])
+        return out
+
+    def _output(self, feats):
+        """The raw network output, block by block."""
+        return self._by_rows(feats, self.out_dim, lambda f: self._forward(f)[0])
+
 
 class NoisePredictor(_Network):
     """eps_hat(x_t, t[, y]) = mlp(features) + sqrt(1 - abar_t) * x, always.
@@ -155,8 +185,7 @@ class NoisePredictor(_Network):
 
     def predict(self, x, t, y=None, sched=None):
         feats, squeeze = self._features(x, t, y, sched)
-        out, _ = self._forward(feats)
-        out = out + self._baseline(feats)
+        out = self._output(feats) + self._baseline(feats)
         return out[0] if squeeze else out
 
     def loss_and_grad(self, x_t, t, y, eps, sched, weights=None):
@@ -188,7 +217,7 @@ class Classifier(_Network):
 
     def log_probs(self, x, t, sched):
         feats, squeeze = self._features(x, t, None, sched)
-        lp = _log_softmax(self._forward(feats)[0])
+        lp = _log_softmax(self._output(feats))
         return lp[0] if squeeze else lp
 
     def grad_x(self, x, t, y, sched):
@@ -197,6 +226,11 @@ class Classifier(_Network):
             raise ValueError("grad_x takes one class id")
         y = check_index(y, 0, self.n_classes - 1, "class id")
         feats, squeeze = self._features(x, t, None, sched)
+        gx = self._by_rows(feats, self.data_dim, lambda f: self._grad_x_rows(f, y))
+        return gx[0] if squeeze else gx
+
+    def _grad_x_rows(self, feats, y):
+        """grad_x for the rows of feats: one forward and one backward pass."""
         logits, acts = self._forward(feats)
         m = logits.max(axis=1, keepdims=True)
         p = np.exp(logits - m)
@@ -204,8 +238,7 @@ class Classifier(_Network):
         d_logits = -p
         d_logits[:, y] += 1.0
         _, d_feats = self._backward(acts, d_logits, param_grad=False)
-        gx = d_feats[:, :self.data_dim]
-        return gx[0] if squeeze else gx
+        return d_feats[:, :self.data_dim]
 
     def nll_and_grad(self, x_t, t, y, sched):
         """Mean negative log-likelihood and its parameter gradient."""

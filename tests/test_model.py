@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from toydiff.forward import default_mixture
-from toydiff.model import (Classifier, NoisePredictor, _layers, init_classifier,
-                           init_noise_predictor)
+from toydiff.model import (ROWS, Classifier, NoisePredictor, _layers, _log_softmax,
+                           init_classifier, init_noise_predictor)
 from toydiff.rng import RngState
+from toydiff.samplers import SamplerConfig, sample_reverse
 from toydiff.schedules import make_linear_schedule
 from toydiff.training import TrainConfig, train
 
@@ -386,11 +387,61 @@ def _traced_peak(f):
 def test_passes_allocate_only_the_activations_they_keep():
     n = 4096
     block = n * 64 * 8  # one (n, 64) float64 activation
+    rows_block = ROWS * 64 * 8  # one (ROWS, 64) activation of a blocked inference pass
     rng = np.random.default_rng(17)
     m = init_noise_predictor(1, hidden=(64, 64), conditioning=2, rng=RngState(17))
     c = init_classifier(1, 2, hidden=(64, 64), rng=RngState(18))
     x, eps = rng.normal(size=(n, 1)), rng.normal(size=(n, 1))
     t, y = rng.integers(1, SCHED.T + 1, size=n), rng.integers(0, 2, size=n)
-    assert _traced_peak(lambda: m.predict(x, t, y, SCHED)) <= 2.5 * block
-    assert _traced_peak(lambda: c.grad_x(x, t, 1, SCHED)) <= 4.5 * block
+    # inference holds the n-row features, the output and one per-row index, and
+    # activations only for ROWS rows at a time
+    n_rows = lambda net: n * (net.in_features + 2) * 8
+    assert _traced_peak(lambda: m.predict(x, t, y, SCHED)) <= n_rows(m) + 3 * rows_block
+    assert _traced_peak(lambda: c.grad_x(x, t, 1, SCHED)) <= n_rows(c) + 5 * rows_block
     assert _traced_peak(lambda: m.loss_and_grad(x, t, y, eps, SCHED)) <= 4.5 * block
+
+
+def _grad_x_one_shot(c, feats, k):
+    """grad_x of class k through one unblocked allocating pass over all rows."""
+    logits, acts = _allocating_forward(c, feats)
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    d_logits = -p
+    d_logits[:, k] += 1.0
+    return _allocating_backward(c, acts, d_logits)[1][:, :c.data_dim]
+
+
+@pytest.mark.parametrize("n", [1, ROWS, 2 * ROWS + 3])
+def test_blocked_inference_matches_one_unblocked_pass(n):
+    # above ROWS rows, BLAS may round a product differently by row count (the 2-wide
+    # head, the transposed weights of backward), so the blocks match to 1e-12 only
+    rng = np.random.default_rng(n)
+    m = NoisePredictor(2, (64, 64), 3, _random_params(param_count(2, (64, 64), 2, 3), 7))
+    c = Classifier(2, (64, 64), 2, _random_params(param_count(2, (64, 64), 2), 8))
+    x = rng.normal(size=(n, 2))
+    t_rows = rng.integers(1, SCHED.T + 1, size=n)
+    y_rows = rng.integers(-1, 3, size=n)  # -1 is the null label
+    if n <= ROWS:
+        same = np.array_equal
+    else:
+        same = lambda a, b: np.allclose(a, b, rtol=0.0, atol=1e-12)
+    for t, y in [(17, None), (t_rows, None), (t_rows, y_rows), (17, 2), (t_rows, -1)]:
+        feats, _ = m._features(x, t, y, SCHED)
+        one_shot = _allocating_forward(m, feats)[0] + m._baseline(feats)
+        assert same(m.predict(x, t, y, SCHED), one_shot)
+    for t in (17, t_rows):
+        feats, _ = c._features(x, t, None, SCHED)
+        assert same(c.log_probs(x, t, SCHED), _log_softmax(_allocating_forward(c, feats)[0]))
+        for k in range(2):
+            assert same(c.grad_x(x, t, k, SCHED), _grad_x_one_shot(c, feats, k))
+
+
+@pytest.mark.parametrize("kind", ["ddpm", "ddim"])
+def test_sampling_more_chains_than_rows_reruns_identically(kind):
+    n = 2 * ROWS + 3
+    m = NoisePredictor(2, (16,), None, _random_params(param_count(2, (16,), 2), 9))
+    cfg = SamplerConfig(kind=kind, n_chains=n)
+    runs = [(sample_reverse(m, cfg, SCHED, rng=rng), rng) for rng in (RngState(5), RngState(5))]
+    assert runs[0][0].tobytes() == runs[1][0].tobytes()
+    draws = n * 2 * (SCHED.T if kind == "ddpm" else 1)  # x_T; DDPM also draws at t > 1
+    assert runs[0][1].normal_draws == draws

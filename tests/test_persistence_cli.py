@@ -239,6 +239,17 @@ def test_cli_sample_rerun_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cli_sample_accepts_the_default_scale_and_sigma_given_explicitly(tmp_path):
+    # --scale 0 and --sigma zero are the defaults, so giving them changes nothing
+    ckpt, out = train_small(tmp_path, "m.ckpt"), tmp_path / "s.csv"
+    outs = []
+    for flags in ([], ["--scale", 0, "--sigma", "zero"]):
+        assert run2(["sample", "--seed", 5, "--checkpoint", ckpt, "--n", 3, *flags,
+                     "--out", out]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_cli_sample_different_seeds_differ(tmp_path):
     ckpt = train_small(tmp_path, "m.ckpt")
     outs = []
@@ -382,6 +393,12 @@ def _bad_input(tmp_path, case):
         "vlb-x0-nan": ["vlb", "--seed", 0, "--checkpoint", ckpt, "--x0", "nan"],
         "sample-cfg-scale-nan": ["sample", "--seed", 0, "--checkpoint", ckpt, "--guidance",
                                  "cfg", "--label", 0, "--scale", "nan"],
+        "sample-classifier-without-guidance": ["sample", "--seed", 0, "--checkpoint", ckpt,
+                                               "--classifier", ckpt],
+        "sample-scale-without-guidance": ["sample", "--seed", 0, "--checkpoint", ckpt,
+                                          "--scale", 3],
+        "sample-sigma-ddpm-sampler": ["sample", "--seed", 0, "--checkpoint", ckpt,
+                                      "--sigma", "ddpm"],
         "train-eta-nan": [*train, "--eta", "nan"],
         "train-loss-csv-empty": [*train, "--loss-csv", ""],
     }
@@ -416,6 +433,10 @@ def _bad_input(tmp_path, case):
     ("forward-x0-inf", 1, "--x0 needs finite numbers"),
     ("vlb-x0-nan", 1, "--x0 needs finite numbers"),
     ("sample-cfg-scale-nan", 2, "scale must be >= 0"),
+    ("sample-classifier-without-guidance", 1,
+     "--classifier does not apply without --guidance classifier"),
+    ("sample-scale-without-guidance", 1, "a nonzero --scale does not apply without --guidance"),
+    ("sample-sigma-ddpm-sampler", 1, "--sigma ddpm does not apply to --sampler ddpm"),
     ("train-eta-nan", 2, "eta must be >= 0"),
     ("train-loss-csv-empty", 2, "--loss-csv"),
     ("config-unknown-key", 1, "unrecognized arguments: --stpes=10"),
