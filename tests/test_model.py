@@ -395,9 +395,9 @@ def test_passes_allocate_only_the_activations_they_keep():
     t, y = rng.integers(1, SCHED.T + 1, size=n), rng.integers(0, 2, size=n)
     # inference holds the n-row features, the output and one per-row index, and
     # activations only for ROWS rows at a time
-    n_rows = lambda net: n * (net.in_features + 2) * 8
-    assert _traced_peak(lambda: m.predict(x, t, y, SCHED)) <= n_rows(m) + 3 * rows_block
-    assert _traced_peak(lambda: c.grad_x(x, t, 1, SCHED)) <= n_rows(c) + 5 * rows_block
+    n_row_bytes = lambda net: n * (net.in_features + 2) * 8
+    assert _traced_peak(lambda: m.predict(x, t, y, SCHED)) <= n_row_bytes(m) + 3 * rows_block
+    assert _traced_peak(lambda: c.grad_x(x, t, 1, SCHED)) <= n_row_bytes(c) + 5 * rows_block
     assert _traced_peak(lambda: m.loss_and_grad(x, t, y, eps, SCHED)) <= 4.5 * block
 
 
