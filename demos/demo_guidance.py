@@ -1,8 +1,8 @@
 """Steering generation toward a chosen class, two ways.
 
 Classifier-free guidance amplifies the gap between conditional and
-null-label noise predictions; classifier guidance shifts the DDPM step
-mean along the gradient of a separately trained noisy classifier.
+null-label noise predictions; classifier guidance moves the noise
+prediction against the gradient of a separately trained noisy classifier.
 Both push the samples toward mode +2 (label 1) as the scale grows.
 
 Run:  python3 demos/demo_guidance.py   (about a minute)

@@ -13,7 +13,7 @@ from .losses import (VlbReport, x0_from_eps, mu_tilde_from_eps,
 from .training import TrainConfig, TrainReport, train, train_classifier
 from .samplers import (SamplerConfig, ddpm_step, ddim_step,
                        ddim_sigma_ddpm_equiv, sample_reverse, final_states)
-from .guidance import GuidanceConfig, classifier_shift, cfg_eps, guided_sample
+from .guidance import GuidanceConfig, cfg_eps, guided_sample
 from .estimators import reparam_grad
 from .evaluation import wasserstein1_1d, mode_masses
 from .persistence import save_checkpoint, load_checkpoint, write_csv

@@ -11,7 +11,8 @@ run_cli calls each handler with the RngState of --seed and writes the
 (columns, rows) table it returns (train's returns none) to --out or stdout.
 
 Exit codes: 0 success; 1 usage error (a bad flag or config line, an --n, --M,
---bins or --hidden width below 1, a flag the run would ignore, a malformed or
+--bins or --hidden width below 1, a flag the run would ignore, --desk with
+every value of its profile given, a malformed or
 non-finite vector flag); 2 domain error (a bad setting or
 path, divergence, a missing or malformed file, a checkpoint of the wrong kind).
 """
@@ -65,14 +66,18 @@ def _unused(args, why, *dests):
 
 
 def _schedule_from(args):
-    profile = {"T": 100, "beta_start": 1e-3, "beta_end": 0.2} if args.desk else {"T": 1000}
     if args.schedule == "cosine":
         _unused(args, "to a cosine schedule", "beta_start", "beta_end")
+        make, desk = schedules.make_cosine_schedule, {"T": 100}
         given = _given(args, T="T", offset="offset")
-        return schedules.make_cosine_schedule(**{"T": profile["T"], **given})
-    _unused(args, "to a linear schedule", "offset")
-    given = _given(args, T="T", beta_start="beta_start", beta_end="beta_end")
-    return schedules.make_linear_schedule(**{**profile, **given})
+    else:
+        _unused(args, "to a linear schedule", "offset")
+        make = schedules.make_linear_schedule
+        desk = {"T": 100, "beta_start": 1e-3, "beta_end": 0.2}
+        given = _given(args, T="T", beta_start="beta_start", beta_end="beta_end")
+    if args.desk and desk.keys() <= given.keys():
+        raise _UsageError("--desk does not apply when every value of its profile is given")
+    return make(**{**(desk if args.desk else {"T": 1000}), **given})
 
 
 def _meta(args):
@@ -220,8 +225,8 @@ def _add_schedule_flags(p):
     p.add_argument("--beta-end", type=float, default=None)
     p.add_argument("--offset", type=float, default=None)
     p.add_argument("--desk", action="store_true",
-                   help="desk-scale profile: T=100 and linear beta in [1e-3, 0.2], "
-                        "unless --T, --beta-start or --beta-end is given")
+                   help="desk-scale profile: T=100 and linear beta in [1e-3, 0.2]; "
+                        "flags override its values, and overriding all of them is an error")
     p.add_argument("--config", default=None, help="key=value lines, each parsed as --key=value")
 
 

@@ -1,17 +1,19 @@
 """Class-conditional steering of the reverse process.
 
-Classifier guidance is a mean-shift hook on the DDPM step: the step mean
-mu moves to mu + s * beta_tilde_t * grad_x log p(y | x, t), with the
-gradient taken at the unguided mean (the Taylor expansion point), and
-the covariance is untouched.  Classifier-free guidance combines the
-conditional and null-label noise predictions into
-eps_tilde = eps(y) + s * (eps(y) - eps(null)), itself a noise predictor
-that either sampler takes in place of the model.  Both run on
-samplers.sample_reverse.  Classifier guidance is DDPM-only; no DDIM
-mean-shift variant is defined here.
+Both guidance modes are noise predictors that either sampler takes in
+place of the model, so both run on samplers.sample_reverse with DDPM or
+DDIM.  Classifier guidance is the eps form of Dhariwal & Nichol
+(arXiv 2105.05233, Alg. 2):
+eps_tilde = eps(x_t) - s * sqrt(1 - abar_t) * grad_x log p(y | x_t, t),
+with the gradient taken at x_t; on a DDPM step it moves the mean by
+s * (beta_t / sqrt(alpha_t)) * grad_x log p(y | x_t, t) and leaves the
+covariance untouched.  Classifier-free guidance combines the conditional
+and null-label noise predictions into eps_tilde = eps(y) + s * (eps(y) - eps(null)).
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import samplers
 from .schedules import NO_MAX, check_index
@@ -37,16 +39,6 @@ class GuidanceConfig:
             raise ValueError("classifier mode needs a classifier")
 
 
-def classifier_shift(c, y, s, sched):
-    """The DDPM mean-shift hook mu, t -> s * beta_tilde_t * grad_x log p(y | mu, t).
-
-    The classifier-guided step is samplers.ddpm_step(..., shift=classifier_shift(...)).
-    """
-    if not s >= 0.0:  # NaN fails too
-        raise ValueError("s must be >= 0")
-    return lambda mu, t: s * sched.beta_tilde[t] * c.grad_x(mu, t, y, sched)
-
-
 def cfg_eps(m, x, t, y, s, sched):
     """Classifier-free combination of conditional and null predictions."""
     if m.conditioning is None:
@@ -56,24 +48,26 @@ def cfg_eps(m, x, t, y, s, sched):
     return e_y + s * (e_y - e_null)
 
 
-class _FreeGuided:
-    """The classifier-free noise predictor x, t -> cfg_eps(m, x, t, target, scale)."""
+class _Guided:
+    """The noise predictor x, t -> eps_tilde of a guided GuidanceConfig g (see the module doc)."""
 
-    def __init__(self, m, target, scale):
-        self.m, self.target, self.scale, self.data_dim = m, target, scale, m.data_dim
+    def __init__(self, m, g):
+        self.m, self.g, self.data_dim = m, g, m.data_dim
 
     def predict(self, x, t, y, sched):
-        return cfg_eps(self.m, x, t, self.target, self.scale, sched)
+        m, g = self.m, self.g
+        if g.mode == "classifier-free":
+            return cfg_eps(m, x, t, g.target, g.scale, sched)
+        grad = g.classifier.grad_x(x, t, g.target, sched)
+        return m.predict(x, t, None, sched) - g.scale * np.sqrt(1.0 - sched.alpha_bar[t]) * grad
 
 
 def guided_sample(m, cfg, g, sched, rng):
     """Reverse sampling under a GuidanceConfig; returns the (L, n, d) states.
 
     mode "none" is samplers.sample_reverse with y = g.target (unguided,
-    conditional when a target is given).  Classifier mode passes the
-    classifier shift as the DDPM step's mean-shift hook and raises
-    ValueError for DDIM before any draw; classifier-free mode runs either
-    sampler on the cfg_eps predictor.  States are laid out as in sample_reverse.
+    conditional when a target is given); a guided mode runs the sampler of
+    cfg on its guided noise predictor.  States are laid out as in sample_reverse.
     """
     lo, k = (0, g.classifier.n_classes) if g.mode == "classifier" else (-1, m.conditioning)
     if g.target is not None and k is None:  # these checks run before x_T is drawn
@@ -82,7 +76,4 @@ def guided_sample(m, cfg, g, sched, rng):
         check_index(g.target, lo, k - 1, "target")
     if g.mode == "none":
         return samplers.sample_reverse(m, cfg, sched, y=g.target, rng=rng)
-    if g.mode == "classifier-free":
-        return samplers.sample_reverse(_FreeGuided(m, g.target, g.scale), cfg, sched, rng=rng)
-    shift = classifier_shift(g.classifier, g.target, g.scale, sched)
-    return samplers.sample_reverse(m, cfg, sched, rng=rng, shift=shift)
+    return samplers.sample_reverse(_Guided(m, g), cfg, sched, rng=rng)

@@ -7,8 +7,8 @@ deterministic generation.  The noise term is gated off at t = 1 in both.
 
 States may carry a leading batch axis; one chain is strictly sequential,
 but a batch of chains advances in lock-step from a single stream.
-sample_reverse is the one reverse-chain loop: guidance runs on it through
-its predictor m and its shift (DDPM step mean) hook.
+sample_reverse is the one reverse-chain loop: guidance runs on it as a
+guided noise predictor m, so every sampler takes every guidance mode.
 """
 
 from dataclasses import dataclass
@@ -34,19 +34,16 @@ class SamplerConfig:
         check_count(self.n_chains, 1, "n_chains")
 
 
-def ddpm_step(m, x_t, t, sched, y=None, rng=None, shift=None):
+def ddpm_step(m, x_t, t, sched, y=None, rng=None):
     """One stochastic denoising step x_t -> x_{t-1}.
 
-    Mean is the eps-form posterior mean mu, moved to mu + shift(mu, t)
-    when a ``shift`` hook is given; noise sqrt(beta_tilde_t) z is then
+    Mean is the eps-form posterior mean; noise sqrt(beta_tilde_t) z is
     added for t > 1 and gated off at t = 1.
     """
     t = check_t(t, sched)
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = m.predict(x_t, t, y, sched)
     mean = mu_tilde_from_eps(x_t, eps_hat, t, sched)
-    if shift is not None:
-        mean = mean + shift(mean, t)
     if t == 1:
         return mean
     z = rng.standard_normal(x_t.shape)
@@ -86,23 +83,18 @@ def ddim_step(m, x_t, t, sigma_t, sched, y=None, rng=None):
     return out
 
 
-def sample_reverse(m, cfg, sched, y=None, rng=None, shift=None):
+def sample_reverse(m, cfg, sched, y=None, rng=None):
     """Run n = cfg.n_chains reverse chains from x_T ~ N(0, I) down to x_0.
 
     Returns the states as one (L, n, d) array.  With cfg.record on they
     are the states at times T, T-1, ..., 0 (L = T + 1); with it off only
-    the endpoints at times T and 0 are kept (L = 2).  ``shift(mu, t)``
-    moves the DDPM step mean (see ddpm_step) and is defined for the DDPM
-    sampler only.
+    the endpoints at times T and 0 are kept (L = 2).
     """
-    if shift is not None and cfg.kind != "ddpm":
-        raise ValueError("a mean shift (classifier guidance) is defined for the DDPM "
-                         "sampler only")
     x = rng.standard_normal((cfg.n_chains, m.data_dim))
     recorded = [x]  # the steps never write x in place, so no state needs a copy
     for t in range(sched.T, 0, -1):
         if cfg.kind == "ddpm":
-            x = ddpm_step(m, x, t, sched, y=y, rng=rng, shift=shift)
+            x = ddpm_step(m, x, t, sched, y=y, rng=rng)
         else:
             sigma_t = ddim_sigma_ddpm_equiv(t, sched) if cfg.sigma_policy == "ddpm" else 0.0
             x = ddim_step(m, x, t, sigma_t, sched, y=y, rng=rng)

@@ -1,4 +1,5 @@
-"""Closed-form references for the tests: noise predictors and schedule invariants.
+"""Closed-form references for the tests: noise predictors, a noisy classifier and
+schedule invariants.
 
 A noise predictor is any object with ``data_dim`` and
 ``predict(x, t, y, sched)``; the samplers and vlb_estimate take these
@@ -34,3 +35,33 @@ class PointMassOracle:
     def predict(self, x, t, y, sched):
         ab = sched.alpha_bar[t]
         return (x - np.sqrt(ab) * self.x0) / np.sqrt(1 - ab)
+
+
+class GaussianOracle:
+    """Bayes-exact eps for data N(m, v):
+    eps*(x, t) = sqrt(1 - abar_t) (x - sqrt(abar_t) m) / (abar_t v + 1 - abar_t)."""
+
+    def __init__(self, m, v):
+        self.m, self.v, self.data_dim = m, v, np.size(m)
+
+    def predict(self, x, t, y, sched):
+        ab = sched.alpha_bar[t]
+        return np.sqrt(1 - ab) * (x - np.sqrt(ab) * self.m) / (ab * self.v + 1 - ab)
+
+
+class GaussianTiltClassifier:
+    """Exact noisy classifier of the tilt exp(w x0) for data N(m, v), duck-typed as a Classifier.
+
+    log p(y | x_t, t) = log E[exp(w x0) | x_t] + const is linear in x_t, so its
+    gradient is the constant sqrt(abar_t) v w / (abar_t v + 1 - abar_t), for every y.
+    Guiding GaussianOracle(m, v) at scale s with it is GaussianOracle(m + s v w, v).
+    """
+
+    n_classes = 2
+
+    def __init__(self, v, w):
+        self.v, self.w = v, w
+
+    def grad_x(self, x, t, y, sched):
+        ab = sched.alpha_bar[t]
+        return np.full(np.shape(x), np.sqrt(ab) * self.v * self.w / (ab * self.v + 1 - ab))

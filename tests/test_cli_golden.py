@@ -54,7 +54,7 @@ GOLDEN = {
     "ddimd.csv": "46d94bf1f17b7df22a54c3a95b94593be59df8a02262c4b45e6a90ca9fee5ac0",
     "label.csv": "04d43fe57fb9919fd2bc623114cf68a795d66c0da6c4bdda5002b0f3e0b1aa6d",
     "cfg.csv": "416e282395627778822981de7ca8b0ee2f79ef1c7c5b24f6baa1b8b895940ebc",
-    "clsg.csv": "fe97dae3d263c965c59a07a5bf9edd1c3b7a2b591a588157057ee20431d60fae",
+    "clsg.csv": "0c2dea94b69c4fea917f3c3e9422ed2fe7349f654028561c66d0b2190bfa9c75",
     "fwd.csv": "b143d87c96bfbff84ecd15b18d09786645b9b1a6e45e6c28a231713057c44781",
     "vlb.csv": "7f0dbe5ab049221370d40037df062a64452ff9b6b4eb5df902eeece6f505cd0d",
     "kl.csv": "9b44deb3017b4b0b83749e9e901b3171ce06aec21e127ee635f0f673e4b7aa57",

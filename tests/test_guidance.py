@@ -1,19 +1,20 @@
-import math
-
 import numpy as np
 import pytest
+from oracles import GaussianOracle, GaussianTiltClassifier
 
-from toydiff.guidance import GuidanceConfig, cfg_eps, classifier_shift, guided_sample
+from toydiff.guidance import GuidanceConfig, cfg_eps, guided_sample
 from toydiff.losses import mu_tilde_from_eps
 from toydiff.model import init_classifier, init_noise_predictor
 from toydiff.rng import RngState
-from toydiff.samplers import SamplerConfig, ddpm_step, final_states, sample_reverse
-from toydiff.schedules import make_linear_schedule
+from toydiff.samplers import SamplerConfig, final_states, sample_reverse
+from toydiff.schedules import make_cosine_schedule, make_linear_schedule
 
 SCHED = make_linear_schedule(100, 1e-3, 0.2)
 UNCOND = init_noise_predictor(1, hidden=(8,), rng=RngState(0))
 COND = init_noise_predictor(1, hidden=(8,), conditioning=2, rng=RngState(0))
 CLS = init_classifier(1, 2, hidden=(8,), rng=RngState(1))
+SAMPLERS = {"ddpm": dict(kind="ddpm"), "ddim0": dict(kind="ddim", sigma_policy="zero"),
+            "ddimd": dict(kind="ddim", sigma_policy="ddpm")}
 
 
 def test_guidance_config_validation():
@@ -27,24 +28,22 @@ def test_guidance_config_validation():
         GuidanceConfig(mode="classifier-free", scale=1.0)
     with pytest.raises(ValueError):
         GuidanceConfig(mode="classifier", scale=1.0, target=1)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="scale must be >= 0"):
+            GuidanceConfig(mode="classifier", scale=bad, target=1, classifier=CLS)
     for mode in ("none", "classifier-free"):
         for bad in (1.5, float("nan"), np.inf):
             with pytest.raises(ValueError):
                 GuidanceConfig(mode=mode, scale=1.0, target=bad)
 
 
-def test_classifier_shift_rejects_negative_or_nan_scale():
-    for bad in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="s must be >= 0"):
-            classifier_shift(CLS, 1, bad, SCHED)
-
-
 def test_scale_zero_matches_unguided_step_bitwise():
-    x = np.array([[0.6], [-1.1]])
-    t = 40
-    a = ddpm_step(UNCOND, x, t, SCHED, rng=RngState(2), shift=classifier_shift(CLS, 1, 0.0, SCHED))
-    b = ddpm_step(UNCOND, x, t, SCHED, rng=RngState(2))
-    assert np.array_equal(a, b)
+    g = GuidanceConfig(mode="classifier", scale=0.0, target=1, classifier=CLS)
+    for kw in SAMPLERS.values():  # every state of every sampler
+        cfg = SamplerConfig(n_chains=2, record=True, **kw)
+        a = guided_sample(UNCOND, cfg, g, SCHED, RngState(2))
+        b = sample_reverse(UNCOND, cfg, SCHED, rng=RngState(2))
+        assert np.array_equal(a, b)
 
 
 def test_constant_logit_classifier_has_no_effect():
@@ -52,55 +51,41 @@ def test_constant_logit_classifier_has_no_effect():
     from toydiff.model import Classifier
     n_params = 5 * 4 + 4 + 4 * 2 + 2  # widths (1+4, 4, 2)
     n = Classifier(1, (4,), 2, np.zeros(n_params))
-    x = np.array([[0.3]])
-    a = ddpm_step(UNCOND, x, 30, SCHED, rng=RngState(3), shift=classifier_shift(n, 0, 5.0, SCHED))
-    b = ddpm_step(UNCOND, x, 30, SCHED, rng=RngState(3))
-    assert np.array_equal(a, b)
+    g = GuidanceConfig(mode="classifier", scale=5.0, target=0, classifier=n)
+    for kw in SAMPLERS.values():
+        cfg = SamplerConfig(n_chains=3, record=True, **kw)
+        a = guided_sample(UNCOND, cfg, g, SCHED, RngState(3))
+        b = sample_reverse(UNCOND, cfg, SCHED, rng=RngState(3))
+        assert np.array_equal(a, b)
 
 
-class LinearLogLik:
-    """Duck-typed stub with a genuinely linear log-likelihood w.x + b."""
-
-    def __init__(self, w):
-        self.w = np.asarray(w, dtype=np.float64)
-
-    def grad_x(self, x, t, y, sched):
-        return np.broadcast_to(self.w, np.atleast_2d(x).shape)
-
-
-def test_taylor_shift_exact_for_linear_log_likelihood():
-    # [DERIVED] tilting N(mu, bt) by exp(w.x) gives N(mu + bt w, bt); the
-    # s=1 mean shift must match a quadrature computation of that tilted mean
-    w = 0.7
-    t = 35
-    x = np.array([[0.4]])
-    stub = LinearLogLik([w])
-    mu = mu_tilde_from_eps(x, UNCOND.predict(x, t, None, SCHED), t, SCHED)[0, 0]
-    bt = SCHED.beta_tilde[t]
-
-    grid = np.linspace(mu - 10 * math.sqrt(bt), mu + 10 * math.sqrt(bt), 20001)
-    dens = np.exp(-0.5 * (grid - mu) ** 2 / bt + w * grid)
-    tilted_mean = np.trapezoid(grid * dens, grid) / np.trapezoid(dens, grid)
-
-    # compare the deterministic mean part: subtract the shared noise
-    seed = RngState(4)
-    out = ddpm_step(UNCOND, x, t, SCHED, rng=seed, shift=classifier_shift(stub, 0, 1.0, SCHED))
-    noise = math.sqrt(bt) * RngState(4).standard_normal((1, 1))
-    mean_guided = (out - noise)[0, 0]
-    assert abs(mean_guided - tilted_mean) < 1e-6
-    assert abs(mean_guided - (mu + bt * w)) < 1e-12
+@pytest.mark.parametrize("sched", [SCHED, make_cosine_schedule(100)], ids=["linear", "cosine"])
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_classifier_guidance_of_a_gaussian_is_the_tilted_gaussian(sampler, sched):
+    # [DERIVED] data N(m, v) tilted by exp(s w x0) is N(m + s v w, v), and the eps form
+    # eps - s sqrt(1 - abar_t) grad_x log p(y | x_t) of the exact predictor and the exact
+    # noisy classifier is the exact predictor of that tilted data: same chain, same draws
+    m, v, w = 1.5, 0.25, 0.8
+    cfg = SamplerConfig(n_chains=50, record=True, **SAMPLERS[sampler])
+    for s in (0.0, 1.0, 3.0):
+        g = GuidanceConfig(mode="classifier", scale=s, target=1,
+                           classifier=GaussianTiltClassifier(v, w))
+        a = guided_sample(GaussianOracle(m, v), cfg, g, sched, RngState(4))
+        b = sample_reverse(GaussianOracle(m + s * v * w, v), cfg, sched, rng=RngState(4))
+        assert np.max(np.abs(a - b)) < 1e-12, s
 
 
 def test_guided_step_is_unguided_plus_shift_exactly():
-    # covariance untouched: with shared draws, guided - unguided == shift
-    x = np.array([[0.9], [-0.2]])
-    t = 50
-    s = 3.0
-    a = ddpm_step(UNCOND, x, t, SCHED, rng=RngState(5), shift=classifier_shift(CLS, 1, s, SCHED))
-    b = ddpm_step(UNCOND, x, t, SCHED, rng=RngState(5))
-    mu = mu_tilde_from_eps(x, UNCOND.predict(x, t, None, SCHED), t, SCHED)
-    shift = s * SCHED.beta_tilde[t] * CLS.grad_x(mu, t, 1, SCHED)
-    assert np.allclose(a - b, shift, rtol=1e-12, atol=1e-15)
+    # covariance untouched: with shared draws, the first DDPM step of the guided chain
+    # is the unguided one plus s (beta_T / sqrt(alpha_T)) grad_x log p(y | x_T)
+    s, T = 3.0, SCHED.T
+    cfg = SamplerConfig(kind="ddpm", n_chains=2, record=True)
+    g = GuidanceConfig(mode="classifier", scale=s, target=1, classifier=CLS)
+    a = guided_sample(UNCOND, cfg, g, SCHED, RngState(5))
+    b = sample_reverse(UNCOND, cfg, SCHED, rng=RngState(5))
+    assert np.array_equal(a[0], b[0])
+    shift = s * SCHED.beta[T] / np.sqrt(SCHED.alpha[T]) * CLS.grad_x(a[0], T, 1, SCHED)
+    assert np.allclose(a[1] - b[1], shift, rtol=1e-12, atol=1e-15)
 
 
 def test_cfg_eps_values_and_guards():
@@ -145,11 +130,17 @@ def test_classifier_guidance_scale_zero_is_bitwise_unconditional():
     assert np.array_equal(a, b)
 
 
-def test_classifier_guidance_rejects_ddim():
-    cfg = SamplerConfig(kind="ddim", sigma_policy="zero", n_chains=1)
+def test_classifier_guidance_works_with_deterministic_ddim():
+    n = 4
+    cfg = SamplerConfig(kind="ddim", sigma_policy="zero", n_chains=n)
     g = GuidanceConfig(mode="classifier", scale=1.0, target=0, classifier=CLS)
-    with pytest.raises(ValueError):
-        guided_sample(UNCOND, cfg, g, SCHED, RngState(9))
+    rng_a, rng_b = RngState(9), RngState(9)
+    a = guided_sample(UNCOND, cfg, g, SCHED, rng_a)
+    b = guided_sample(UNCOND, cfg, g, SCHED, rng_b)
+    assert a.tobytes() == b.tobytes()
+    assert rng_a.normal_draws == rng_b.normal_draws == n * UNCOND.data_dim  # x_T only
+    assert np.all(np.isfinite(a))
+    assert not np.array_equal(a[-1], sample_reverse(UNCOND, cfg, SCHED, rng=RngState(9))[-1])
 
 
 def test_cfg_works_with_deterministic_ddim():
@@ -185,12 +176,13 @@ def test_target_outside_the_classes_fails_before_any_draw(mode, m, target, match
 
 
 def reference_classifier_guided_sample(m, c, cfg, y, s, sched, rng):
-    """The classifier-guided loop as written before it ran on sample_reverse."""
+    """The classifier-guided DDPM loop written out, in the eps form."""
     x = rng.standard_normal((cfg.n_chains, m.data_dim))
     recorded = [x.copy()]
     for t in range(sched.T, 0, -1):
-        mu = mu_tilde_from_eps(x, m.predict(x, t, None, sched), t, sched)
-        x = mu + s * sched.beta_tilde[t] * c.grad_x(mu, t, y, sched)
+        grad = c.grad_x(x, t, y, sched)
+        eps = m.predict(x, t, None, sched) - s * np.sqrt(1.0 - sched.alpha_bar[t]) * grad
+        x = mu_tilde_from_eps(x, eps, t, sched)
         if t > 1:
             x = x + np.sqrt(sched.beta_tilde[t]) * rng.standard_normal(x.shape)
         if cfg.record or t == 1:
@@ -210,4 +202,4 @@ def test_classifier_guided_sample_matches_reference_loop(n, record):
     assert np.array_equal(a, b)
     assert rng_a.normal_draws == rng_b.normal_draws == n * SCHED.T
     unguided = sample_reverse(UNCOND, cfg, SCHED, rng=RngState(11))
-    assert not np.array_equal(a[-1], unguided[-1])  # the shift is not a no-op here
+    assert not np.array_equal(a[-1], unguided[-1])  # guidance is not a no-op here

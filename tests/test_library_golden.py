@@ -4,7 +4,8 @@ The CLI digests in test_cli_golden.py cover what the commands write; this
 file pins what the library returns below them: trained parameters and
 loss curves of every training variant, reverse sampling of every sampler
 kind at one and several chains with the record flag on and off, the three
-guidance modes with their normal-draw counts, the VLB terms, the network
+guidance modes with their normal-draw counts (classifier guidance on DDPM
+and on DDIM with sigma = 0), the VLB terms, the network
 heads and the mixture log density.  Each value is the SHA-256 of the
 float64 bytes and shapes of its arrays, so a refactor must keep every bit.
 The digests pin numpy 2.4 on x86-64; another BLAS may move last digits.
@@ -42,7 +43,8 @@ GOLDEN = {
     "sample/ddimd/n7/record1": "5c8d8dcc9c7ecf73a40de0407daf0b4def22f476ae8ea862b1aa427c42212867",
     "guidance/none": "42653c9d4431b1724a760da3e97b35dd98a2590d67687c84c8e7f3726ed4c80d",
     "guidance/classifier-free": "e0c39a3bebe005c24dcdcb2c32f27558c43fc45420bc40f8ef385e1e16659992",
-    "guidance/classifier": "34baa445641d0c570ed0aeaa60ed1ac9f59dbda8c4c78692779e38b196988f5a",
+    "guidance/classifier": "e0382d4376b297efe9cff64d652dcb3759ac4b28908686692049ad4e55280792",
+    "guidance/classifier/ddim0": "63e7a704f460f7f58d93400086cb7c396b13b07ab656bf527eb269f4cc5fcc90",
     "vlb": "ec06a3f6f21be0e9e4193a2581bbaaba3fc3a42946c8c4d63ce4193efa624312",
     "predict": "bfe29550b9f5cef1bb279fc804ef027a850a93798e8f3ce183ee6a10ebbee154",
     "classifier": "cf750ef72e78977bf02c60b4531203d62ffa8321e73933ef6720164a99da7f64",
@@ -100,6 +102,11 @@ def _digests():
         net = m if name == "classifier" else cond
         states = guidance.guided_sample(net, ddpm, guidance.GuidanceConfig(**kw), SCHED, rng)
         out[f"guidance/{name}"] = _sha(states, rng.normal_draws)
+    rng = RngState(20)
+    ddim0 = samplers.SamplerConfig(kind="ddim", sigma_policy="zero", n_chains=7)
+    states = guidance.guided_sample(m, ddim0, guidance.GuidanceConfig(**modes["classifier"]),
+                                    SCHED, rng)
+    out["guidance/classifier/ddim0"] = _sha(states, rng.normal_draws)
 
     rep = losses.vlb_estimate(m, np.array([0.5]), SCHED, 3, RngState(30))
     out["vlb"] = _sha(rep.L0, rep.Lt, rep.LT, rep.total)

@@ -229,14 +229,17 @@ def test_cli_train_without_training_flags_uses_library_defaults(tmp_path, monkey
 
 def test_cli_sample_rerun_byte_identical(tmp_path):
     ckpt = train_small(tmp_path, "m.ckpt")
+    cls = train_small(tmp_path, "cls.ckpt", ["--classifier"])
     out = tmp_path / "s.csv"
-    outs = []
-    for _ in range(2):  # identical command rerun, same output path
-        assert run2(["sample", "--seed", 5, "--checkpoint", ckpt,
-                     "--sampler", "ddim", "--sigma", "zero", "--n", 20,
-                     "--out", out]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    for flags in ([], ["--guidance", "classifier", "--classifier", cls, "--label", 1,
+                       "--scale", 2]):
+        outs = []
+        for _ in range(2):  # identical command rerun, same output path
+            assert run2(["sample", "--seed", 5, "--checkpoint", ckpt,
+                         "--sampler", "ddim", "--sigma", "zero", "--n", 20, *flags,
+                         "--out", out]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 def test_cli_sample_accepts_the_default_scale_and_sigma_given_explicitly(tmp_path):
@@ -370,7 +373,8 @@ def _bad_input(tmp_path, case):
     if case.startswith("config-"):  # a config line is parsed as the flag it names
         cfgf = tmp_path / "bad.cfg"
         cfgf.write_text({"config-unknown-key": "stpes=10\n",
-                         "config-fractional-count": "steps=2.5\n"}[case])
+                         "config-fractional-count": "steps=2.5\n",
+                         "config-desk-all-given": "T=50\nbeta-start=0.01\nbeta-end=0.1\n"}[case])
         return ["train", "--seed", 0, "--desk", "--config", cfgf, "--out", tmp_path / "h.csv"]
     train = ["train", "--seed", 0, "--desk", "--steps", 1, "--hidden", 4]
     forward = ["forward", "--seed", 0, "--T", 5, "--x0", 1]
@@ -387,6 +391,8 @@ def _bad_input(tmp_path, case):
         "forward-cosine-beta-start": [*forward, "--schedule", "cosine", "--beta-start", 0.5],
         "forward-cosine-beta-end": [*forward, "--schedule", "cosine", "--beta-end", 0.5],
         "forward-linear-offset": [*forward, "--offset", 0.1],
+        "forward-desk-cosine-T": [*forward, "--desk", "--schedule", "cosine"],
+        "train-desk-all-given": [*train, "--T", 50, "--beta-start", 0.01, "--beta-end", 0.1],
         "kl-q-nan": ["kl-demo", "--seed", 0, "--q", "1,nan", "--p", "0,4", "--M", 10],
         "forward-x0-nan": ["forward", "--seed", 0, "--desk", "--x0", "nan"],
         "forward-x0-inf": ["forward", "--seed", 0, "--desk", "--x0", "inf"],
@@ -451,6 +457,9 @@ def _bad_input(tmp_path, case):
     ("forward-cosine-beta-start", 1, "--beta-start does not apply to a cosine schedule"),
     ("forward-cosine-beta-end", 1, "--beta-end does not apply to a cosine schedule"),
     ("forward-linear-offset", 1, "--offset does not apply to a linear schedule"),
+    ("forward-desk-cosine-T", 1, "--desk does not apply when every value of its profile"),
+    ("train-desk-all-given", 1, "--desk does not apply when every value of its profile"),
+    ("config-desk-all-given", 1, "--desk does not apply when every value of its profile"),
 ])
 def test_cli_bad_input_exits_with_message(tmp_path, capsys, case, code, message):
     argv = _bad_input(tmp_path, case)
