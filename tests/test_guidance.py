@@ -28,13 +28,17 @@ def test_guidance_config_validation():
         GuidanceConfig(mode="classifier-free", scale=1.0)
     with pytest.raises(ValueError):
         GuidanceConfig(mode="classifier", scale=1.0, target=1)
-    for bad in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="scale must be >= 0"):
-            GuidanceConfig(mode="classifier", scale=bad, target=1, classifier=CLS)
     for mode in ("none", "classifier-free"):
         for bad in (1.5, float("nan"), np.inf):
             with pytest.raises(ValueError):
                 GuidanceConfig(mode=mode, scale=1.0, target=bad)
+
+
+def test_classifier_shift_rejects_negative_or_nan_scale():
+    # the classifier-gradient scale is checked once, when the config is built
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="scale must be >= 0"):
+            GuidanceConfig(mode="classifier", scale=bad, target=1, classifier=CLS)
 
 
 def test_scale_zero_matches_unguided_step_bitwise():
