@@ -12,9 +12,11 @@ run_cli calls each handler with the RngState of --seed and writes the
 
 Exit codes: 0 success; 1 usage error (a bad flag or config line, an --n, --M,
 --bins or --hidden width below 1, a flag the run would ignore, --desk with
-every value of its profile given, a malformed or
-non-finite vector flag); 2 domain error (a bad setting or
-path, divergence, a missing or malformed file, a checkpoint of the wrong kind).
+every value of its profile given, --guidance cfg or classifier without --label
+or the classifier without --classifier, a malformed or non-finite vector flag);
+2 domain error (a bad setting or path, divergence, a missing or malformed file,
+a checkpoint of the wrong kind, a classifier trained on another schedule than
+the model).
 """
 
 import argparse
@@ -66,15 +68,13 @@ def _unused(args, why, *dests):
 
 
 def _schedule_from(args):
-    if args.schedule == "cosine":
-        _unused(args, "to a cosine schedule", "beta_start", "beta_end")
-        make, desk = schedules.make_cosine_schedule, {"T": 100}
-        given = _given(args, T="T", offset="offset")
-    else:
-        _unused(args, "to a linear schedule", "offset")
-        make = schedules.make_linear_schedule
-        desk = {"T": 100, "beta_start": 1e-3, "beta_end": 0.2}
-        given = _given(args, T="T", beta_start="beta_start", beta_end="beta_end")
+    kind = args.schedule or "linear"
+    make, names = schedules.constructor(kind)
+    _unused(args, f"to a {kind} schedule",
+            *(d for d in ("beta_start", "beta_end", "offset") if d not in names))
+    given = _given(args, T="T", **{k: k for k in names})
+    desk = {"T": 100, "beta_start": 1e-3, "beta_end": 0.2}  # a kind takes the keys it declares
+    desk = {k: desk[k] for k in ("T", *names) if k in desk}
     if args.desk and desk.keys() <= given.keys():
         raise _UsageError("--desk does not apply when every value of its profile is given")
     return make(**{**(desk if args.desk else {"T": 1000}), **given})
@@ -143,6 +143,8 @@ def _cmd_train(args, rng):
 def _cmd_sample(args, rng):
     if args.guidance == "classifier" and args.classifier is None:
         raise _UsageError("--guidance classifier needs --classifier")
+    if args.guidance != "none" and args.label is None:
+        raise _UsageError(f"--guidance {args.guidance} needs --label")
     if args.guidance != "classifier":
         _unused(args, "without --guidance classifier", "classifier")
     if args.guidance == "none" and args.scale != 0.0:  # NaN fails too
@@ -150,7 +152,11 @@ def _cmd_sample(args, rng):
     if args.sampler == "ddpm" and args.sigma != "zero":
         raise _UsageError("--sigma ddpm does not apply to --sampler ddpm")
     m, sched = _load(args.checkpoint, NoisePredictor)
-    c = _load(args.classifier, Classifier)[0] if args.guidance == "classifier" else None
+    c = None
+    if args.guidance == "classifier":
+        c, c_sched = _load(args.classifier, Classifier)
+        if c_sched != sched:
+            raise ValueError(f"{args.classifier} and {args.checkpoint} have different schedules")
     cfg = samplers.SamplerConfig(kind=args.sampler, sigma_policy=args.sigma,
                                  n_chains=args.n)
     mode = {"cfg": "classifier-free"}.get(args.guidance, args.guidance)
@@ -220,7 +226,7 @@ def _cmd_hist(args, rng):
 
 def _add_schedule_flags(p):
     p.add_argument("--T", type=int, default=None)
-    p.add_argument("--schedule", choices=["linear", "cosine"], default=None)
+    p.add_argument("--schedule", choices=schedules.KINDS, default=None)
     p.add_argument("--beta-start", type=float, default=None)
     p.add_argument("--beta-end", type=float, default=None)
     p.add_argument("--offset", type=float, default=None)

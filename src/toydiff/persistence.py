@@ -79,15 +79,8 @@ def load_checkpoint(path):
         raise ValueError(f"checkpoint truncated: expected {n} parameters, "
                          f"got {len(params)} (file ends at line {len(raw)})")
 
-    skind = meta["schedule_kind"]
-    T = int(meta["schedule_T"])
-    if skind == "linear":
-        sched = schedules.make_linear_schedule(
-            T, float(meta["schedule_beta_start"]), float(meta["schedule_beta_end"]))
-    elif skind == "cosine":
-        sched = schedules.make_cosine_schedule(T, float(meta["schedule_offset"]))
-    else:
-        raise ValueError(f"unknown schedule kind: {skind}")
+    make, names = schedules.constructor(meta["schedule_kind"])
+    sched = make(int(meta["schedule_T"]), **{k: float(meta[f"schedule_{k}"]) for k in names})
 
     hidden = tuple(int(w) for w in meta["hidden"].split(",")) if meta["hidden"] else ()
     p = np.asarray(params)

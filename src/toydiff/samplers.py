@@ -54,11 +54,9 @@ def ddim_sigma_ddpm_equiv(t, sched):
     """The sigma_t that makes the DDIM family coincide with DDPM.
 
     Equals sqrt((1-abar_{t-1})/(1-abar_t)) * sqrt(1 - abar_t/abar_{t-1}),
-    whose square is beta_tilde_t.
+    whose square is beta_tilde_t; at t = 1, abar_0 = 1 makes it exactly 0.0.
     """
     t = check_t(t, sched)
-    if t == 1:
-        return 0.0
     ab_prev, ab = sched.alpha_bar[t - 1], sched.alpha_bar[t]
     return float(np.sqrt((1.0 - ab_prev) / (1.0 - ab)) * np.sqrt(1.0 - ab / ab_prev))
 
@@ -83,8 +81,8 @@ def ddim_step(m, x_t, t, sigma_t, sched, y=None, rng=None):
     return out
 
 
-def sample_reverse(m, cfg, sched, y=None, rng=None):
-    """Run n = cfg.n_chains reverse chains from x_T ~ N(0, I) down to x_0.
+def sample_reverse(m, cfg, sched, y=None, *, rng):
+    """Run n = cfg.n_chains reverse chains from x_T ~ N(0, I) down to x_0, drawing from rng.
 
     Returns the states as one (L, n, d) array.  With cfg.record on they
     are the states at times T, T-1, ..., 0 (L = T + 1); with it off only

@@ -10,22 +10,25 @@ Schedules are immutable after construction; consumers only read.
 check_index and check_count below are the package's one judge of integer inputs.
 """
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 NO_MAX = 2**63 - 1  # the finite "no upper bound" of check_index: inf must fail
+KINDS = ("linear", "cosine")  # the schedule kinds; make_<kind>_schedule builds each
 
 
 @dataclass(frozen=True)
 class Schedule:
+    """The arrays of make_<kind>_schedule(T, **args); == compares T, kind and args."""
     T: int
-    beta: np.ndarray        # [0..T], index 0 = NaN
-    alpha: np.ndarray       # [0..T], index 0 = NaN
-    alpha_bar: np.ndarray   # [0..T], alpha_bar[0] = 1
-    beta_tilde: np.ndarray  # [0..T], index 0 = NaN, beta_tilde[1] = 0
-    kind: str = "custom"
-    args: dict = field(default_factory=dict)
+    beta: np.ndarray = field(compare=False)        # [0..T], index 0 = NaN
+    alpha: np.ndarray = field(compare=False)       # [0..T], index 0 = NaN
+    alpha_bar: np.ndarray = field(compare=False)   # [0..T], alpha_bar[0] = 1
+    beta_tilde: np.ndarray = field(compare=False)  # [0..T], index 0 = NaN, beta_tilde[1] = 0
+    kind: str
+    args: dict
 
     def __post_init__(self):
         for arr in (self.beta, self.alpha, self.alpha_bar, self.beta_tilde):
@@ -77,6 +80,14 @@ def make_cosine_schedule(T, offset=0.008):
     beta = 1.0 - abar[1:] / abar[:-1]
     beta = np.clip(beta, 1e-12, 0.999)
     return _build(T, beta, "cosine", {"offset": offset})
+
+
+def constructor(kind):
+    """make_<kind>_schedule as bound now (a tracer may rebind it) and its arguments after T."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown schedule kind: {kind}")
+    make = globals()[f"make_{kind}_schedule"]
+    return make, tuple(inspect.signature(make).parameters)[1:]
 
 
 def check_index(v, lo, hi, name):

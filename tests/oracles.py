@@ -1,5 +1,5 @@
-"""Closed-form references for the tests: noise predictors, a noisy classifier and
-schedule invariants.
+"""Closed-form references for the tests: noise predictors, a noisy classifier,
+schedule invariants and an exact empirical W1.
 
 A noise predictor is any object with ``data_dim`` and
 ``predict(x, t, y, sched)``; the samplers and vlb_estimate take these
@@ -65,3 +65,16 @@ class GaussianTiltClassifier:
     def grad_x(self, x, t, y, sched):
         ab = sched.alpha_bar[t]
         return np.full(np.shape(x), np.sqrt(ab) * self.v * self.w / (ab * self.v + 1 - ab))
+
+
+def exact_w1(a, b):
+    """W1 of two empirical laws: the integral of |Q_a(u) - Q_b(u)| over u in [0, 1].
+
+    Both quantile functions are constant between the merged breakpoints {i/n} and
+    {j/m}; on each piece they take the sorted value at the piece's midpoint.
+    """
+    a, b = np.sort(np.ravel(a)), np.sort(np.ravel(b))
+    u = np.union1d(np.arange(a.size + 1) / a.size, np.arange(b.size + 1) / b.size)
+    mid = (u[:-1] + u[1:]) / 2
+    qa, qb = (v[(mid * v.size).astype(np.int64)] for v in (a, b))
+    return float(np.sum(np.diff(u) * np.abs(qa - qb)))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import exact_w1
 
 from toydiff.evaluation import mode_masses, wasserstein1_1d
 from toydiff.forward import GmmSpec, default_mixture, gmm_sample
@@ -34,6 +35,33 @@ def test_w1_unequal_sizes_close_to_equal_size_value():
     b = rng.normal(1.0, 1.0, size=5000)
     w = wasserstein1_1d(a, b)
     assert abs(w - 1.0) < 0.1  # W1(N(0,1), N(1,1)) = 1
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (7, 7), (500, 500), (1, 9), (2, 3), (40, 60),
+                                   (999, 1000), (2000, 20000)])
+def test_w1_matches_the_exact_quantile_oracle(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    a = rng.normal(size=sizes[0])
+    b = np.concatenate((rng.normal(-2.0, 0.5, size=sizes[1] // 2),
+                        rng.normal(2.0, 0.5, size=sizes[1] - sizes[1] // 2)))
+    for x, y in ((a, b), (b, a), (a, a + 0.3), (np.round(a, 1), np.round(b, 1))):  # ties too
+        assert abs(wasserstein1_1d(x, y) - exact_w1(x, y)) < 1e-12
+
+
+def test_w1_unequal_sizes_is_exact():
+    # the interpolated-quantile grid of unequal sizes used to give 0.667 and 1.0 here
+    for a, b in (([0.0, 2.0], [0.0, 1.0, 5.0]), ([0.0, 0.0, 3.0], [1.0])):
+        assert wasserstein1_1d(a, b) == pytest.approx(4 / 3, rel=1e-15)
+        assert wasserstein1_1d(b, a) == pytest.approx(4 / 3, rel=1e-15)
+
+
+def test_w1_rejects_nan_and_inf():
+    # these used to return nan or inf
+    for bad in ([0.0, np.nan], [np.inf, 1.0], np.array([[-np.inf], [0.0]])):
+        with pytest.raises(ValueError, match="finite"):
+            wasserstein1_1d(bad, [0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            wasserstein1_1d([0.0, 1.0, 2.0], bad)
 
 
 def test_w1_rejects_empty():

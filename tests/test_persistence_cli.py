@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import toydiff
-from toydiff import cli
+from toydiff import cli, schedules
 from toydiff.cli import run_cli
 from toydiff.model import init_classifier, init_noise_predictor
 from toydiff.persistence import load_checkpoint, save_checkpoint, write_csv
@@ -30,6 +31,33 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         s2.beta[1:], SCHED.beta[1:]) and s2.kind == "linear"
     x = np.array([[0.37]])
     assert np.array_equal(m.predict(x, 5, 1, SCHED), m2.predict(x, 5, 1, s2))
+
+
+@pytest.mark.parametrize("sched", [SCHED, make_linear_schedule(7), make_cosine_schedule(12),
+                                   make_cosine_schedule(5, 0.1)],
+                         ids=["linear-10", "linear-7", "cosine-12", "cosine-5"])
+def test_checkpoint_round_trip_schedule_is_equal(tmp_path, sched):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_noise_predictor(1, hidden=(4,), rng=RngState(0)), sched, path)
+    s2 = load_checkpoint(path)[1]
+    assert s2 == sched and s2.args == sched.args and s2.kind == sched.kind
+    assert np.array_equal(s2.alpha_bar, sched.alpha_bar)
+
+
+def test_load_checkpoint_builds_through_the_constructor_bound_now(tmp_path, monkeypatch):
+    # a tracer rebinds schedules.make_<kind>_schedule; the load must call the rebound one
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_noise_predictor(1, hidden=(4,), rng=RngState(0)), SCHED, path)
+    calls = []
+
+    @functools.wraps(schedules.make_linear_schedule)
+    def traced(*args, **kwargs):
+        calls.append((args, kwargs))
+        return traced.__wrapped__(*args, **kwargs)
+
+    monkeypatch.setattr(schedules, "make_linear_schedule", traced)
+    assert load_checkpoint(path)[1] == SCHED
+    assert calls == [((10,), {"beta_start": 1e-3, "beta_end": 0.2})]
 
 
 def test_checkpoint_save_load_save_byte_identical(tmp_path):
@@ -346,6 +374,10 @@ def _bad_input(tmp_path, case):
     if case == "classifier-guidance-without-classifier":
         return ["sample", "--seed", 0, "--checkpoint", ckpt, "--guidance", "classifier",
                 "--label", 1, "--out", tmp_path / "s.csv"]
+    if case == "classifier-other-schedule":  # T = 100 on both, linear for the model
+        cls = train_small(tmp_path, "cls.ckpt", ["--classifier", "--schedule", "cosine"])
+        return ["sample", "--seed", 0, "--checkpoint", ckpt, "--guidance", "classifier",
+                "--classifier", cls, "--label", 1, "--scale", 1, "--out", tmp_path / "s.csv"]
     if case == "hist-no-data-rows":
         empty = tmp_path / "empty.csv"
         empty.write_text("# seed=0\n")
@@ -399,6 +431,10 @@ def _bad_input(tmp_path, case):
         "vlb-x0-nan": ["vlb", "--seed", 0, "--checkpoint", ckpt, "--x0", "nan"],
         "sample-cfg-scale-nan": ["sample", "--seed", 0, "--checkpoint", ckpt, "--guidance",
                                  "cfg", "--label", 0, "--scale", "nan"],
+        "sample-cfg-without-label": ["sample", "--seed", 0, "--checkpoint", ckpt,
+                                     "--guidance", "cfg", "--scale", 1],
+        "sample-classifier-without-label": ["sample", "--seed", 0, "--checkpoint", ckpt,
+                                            "--guidance", "classifier", "--classifier", ckpt],
         "sample-classifier-without-guidance": ["sample", "--seed", 0, "--checkpoint", ckpt,
                                                "--classifier", ckpt],
         "sample-scale-without-guidance": ["sample", "--seed", 0, "--checkpoint", ckpt,
@@ -424,6 +460,9 @@ def _bad_input(tmp_path, case):
 
 @pytest.mark.parametrize("case, code, message", [
     ("classifier-guidance-without-classifier", 1, "--classifier"),
+    ("classifier-other-schedule", 2, "have different schedules"),
+    ("sample-cfg-without-label", 1, "--guidance cfg needs --label"),
+    ("sample-classifier-without-label", 1, "--guidance classifier needs --label"),
     ("hist-no-data-rows", 2, "no data rows"),
     ("hist-zero-bins", 1, "--bins"),
     ("checkpoint-missing-key", 2, "'hidden'"),

@@ -9,7 +9,7 @@ from toydiff.model import init_noise_predictor
 from toydiff.rng import RngState
 from toydiff.samplers import (SamplerConfig, ddim_sigma_ddpm_equiv, ddim_step,
                               ddpm_step, final_states, sample_reverse)
-from toydiff.schedules import make_linear_schedule
+from toydiff.schedules import make_cosine_schedule, make_linear_schedule
 
 SCHED = make_linear_schedule(100, 1e-3, 0.2)
 MODEL = init_noise_predictor(1, hidden=(8,), rng=RngState(0))
@@ -52,7 +52,10 @@ def test_ddim_sigma_ddpm_equiv_squares_to_beta_tilde():
     for t in range(2, SCHED.T + 1):
         assert np.isclose(ddim_sigma_ddpm_equiv(t, SCHED) ** 2,
                           SCHED.beta_tilde[t], rtol=1e-12)
-    assert ddim_sigma_ddpm_equiv(1, SCHED) == 0.0
+    # the formula itself gives 0.0 at t = 1, where abar_0 = 1
+    for s in (SCHED, make_linear_schedule(1, 0.5, 0.5), make_linear_schedule(1000),
+              make_cosine_schedule(50)):
+        assert ddim_sigma_ddpm_equiv(1, s) == 0.0
 
 
 def test_ddim_sigma_worked_value():
@@ -147,6 +150,15 @@ def test_sample_reverse_rng_draw_count_sigma_zero():
     rng = RngState(9)
     sample_reverse(MODEL, cfg, SCHED, rng=rng)
     assert rng.normal_draws == 3 * MODEL.data_dim
+
+
+def test_sample_reverse_requires_rng_by_keyword():
+    # without it the first draw used to fail on None.standard_normal
+    cfg = SamplerConfig(n_chains=2)
+    with pytest.raises(TypeError, match="rng"):
+        sample_reverse(MODEL, cfg, SCHED)
+    with pytest.raises(TypeError):
+        sample_reverse(MODEL, cfg, SCHED, None, RngState(0))
 
 
 def test_sample_reverse_trajectory_recording():

@@ -116,6 +116,17 @@ def test_schedule_arrays_are_immutable():
         s.beta[1] = 0.5
 
 
+def test_schedules_compare_by_kind_T_and_args():
+    s = make_linear_schedule(10, 1e-3, 0.2)
+    assert s == make_linear_schedule(10, 1e-3, 0.2)
+    assert make_cosine_schedule(10) == make_cosine_schedule(10, 0.008)
+    for other in (make_cosine_schedule(10), make_linear_schedule(11, 1e-3, 0.2),
+                  make_linear_schedule(10, 2e-3, 0.2), make_linear_schedule(10, 1e-3, 0.1),
+                  make_cosine_schedule(10, 0.01)):
+        assert s != other and not (s == other) and other != s  # used to raise on the arrays
+    assert make_cosine_schedule(10) != make_cosine_schedule(10, 0.01)
+
+
 def test_check_t_scalar_and_array():
     s = make_linear_schedule(5, 0.1, 0.2)
     for t in (1, 5, np.int64(3), np.array(2), np.arange(1, 6), np.array([], dtype=np.int64)):
