@@ -1,5 +1,5 @@
 """Closed-form references for the tests: noise predictors, a noisy classifier,
-schedule invariants and an exact empirical W1.
+schedule invariants, the DDIM form of the reverse mean and an exact empirical W1.
 
 A noise predictor is any object with ``data_dim`` and
 ``predict(x, t, y, sched)``; the samplers and vlb_estimate take these
@@ -65,6 +65,22 @@ class GaussianTiltClassifier:
     def grad_x(self, x, t, y, sched):
         ab = sched.alpha_bar[t]
         return np.full(np.shape(x), np.sqrt(ab) * self.v * self.w / (ab * self.v + 1 - ab))
+
+
+def ddim_sigma_product(t, sched):
+    """The DDPM sigma_t as Song et al. (arXiv 2010.02502, eq. 16) write it:
+    sqrt((1 - abar_{t-1}) / (1 - abar_t)) * sqrt(1 - abar_t / abar_{t-1}), whose square is beta_tilde_t."""
+    ab_prev, ab = sched.alpha_bar[t - 1], sched.alpha_bar[t]
+    return float(np.sqrt((1.0 - ab_prev) / (1.0 - ab)) * np.sqrt(1.0 - ab / ab_prev))
+
+
+def ddim_mean(x_t, eps, t, sigma, sched):
+    """The sigma-family mean in DDIM's own form (arXiv 2010.02502, eq. 12): the
+    predicted-x0 term plus the direction term,
+    (x_t - sqrt(1 - abar_t) eps) / sqrt(alpha_t) + sqrt(1 - abar_{t-1} - sigma^2) eps."""
+    ab_prev, ab = sched.alpha_bar[t - 1], sched.alpha_bar[t]
+    return ((x_t - np.sqrt(1.0 - ab) * eps) / np.sqrt(sched.alpha[t])
+            + np.sqrt(1.0 - ab_prev - sigma ** 2) * eps)
 
 
 def exact_w1(a, b):

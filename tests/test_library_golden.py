@@ -11,14 +11,17 @@ float64 bytes and shapes of its arrays, so a refactor must keep every bit.
 The digests pin numpy 2.4 on x86-64; another BLAS may move last digits.
 """
 
+import functools
 import hashlib
 
 import numpy as np
+import pytest
+from oracles import ddim_mean, ddim_sigma_product
 
 from toydiff import forward, guidance, losses, samplers, training
 from toydiff.model import init_classifier, init_noise_predictor
 from toydiff.rng import RngState
-from toydiff.schedules import make_linear_schedule
+from toydiff.schedules import make_cosine_schedule, make_linear_schedule
 
 SCHED = make_linear_schedule(50, 1e-3, 0.2)
 DATA = forward.default_mixture()
@@ -62,6 +65,7 @@ def _sha(*values):
     return h.hexdigest()
 
 
+@functools.cache
 def _trained(variant, seed):
     cfg = training.TrainConfig(steps=150, batch_size=32, eta=0.05, eval_interval=30,
                                loss_variant="weighted" if variant == "weighted" else "simple")
@@ -136,3 +140,26 @@ def _digests():
 
 def test_library_outputs_match_golden_digests():
     assert _digests() == GOLDEN
+
+
+@pytest.mark.parametrize("policy", ("zero", "ddpm"))
+@pytest.mark.parametrize("sched", (SCHED, make_linear_schedule(1000), make_cosine_schedule(100)),
+                         ids=("desk50", "linear1000", "cosine100"))
+def test_ddim_chains_track_the_ddim_form_of_the_mean(sched, policy):
+    # every state of the golden DDIM runs against a hand loop of DDIM's own
+    # formula (oracles.ddim_mean, sigma by the product formula) on the same draws
+    m = _trained("simple", 0)[0]
+    for n in (1, 7):
+        cfg = samplers.SamplerConfig(kind="ddim", sigma_policy=policy, n_chains=n, record=True)
+        rng, ref_rng = RngState(10 + n, 1), RngState(10 + n, 1)
+        states = samplers.sample_reverse(m, cfg, sched, rng=rng)
+        x = ref_rng.standard_normal((n, m.data_dim))
+        ref = [x]
+        for t in range(sched.T, 0, -1):
+            sigma = ddim_sigma_product(t, sched) if policy == "ddpm" else 0.0
+            x = ddim_mean(x, m.predict(x, t, None, sched), t, sigma, sched)
+            if sigma > 0.0:
+                x = x + sigma * ref_rng.standard_normal(x.shape)
+            ref.append(x)
+        assert rng.normal_draws == ref_rng.normal_draws
+        assert np.max(np.abs(states - np.stack(ref))) <= 1e-12
