@@ -1,12 +1,14 @@
-"""Loss family: eps/x0 conversions, weighted losses, and the variational bound.
+"""Loss family: eps/x0 conversions, the reverse mean, weighted losses and the variational bound.
 
-The weighted losses carry the exact per-step coefficients from the KL
-reduction; training's weighted variant reads eps_kl_weight.  t = 1 is
-rejected by the weighted forms because beta_tilde_1 = 0 makes the weight
-undefined; training gives t = 1 the t = 2 weight.  vlb_estimate runs on
-any noise predictor (see samplers): a trained model or an exact oracle.
+mu_tilde_from_eps is the one reverse mean, DDIM's sigma family in eps form;
+the samplers and vlb_estimate share it.  The weighted losses carry the exact
+per-step KL coefficients (training's weighted variant reads eps_kl_weight)
+and reject t = 1, where beta_tilde_1 = 0 leaves the weight undefined;
+training gives t = 1 the t = 2 weight.  vlb_estimate runs on any noise
+predictor (see samplers): a trained model or an exact oracle.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +26,21 @@ def x0_from_eps(x_t, eps, t, sched):
             - np.sqrt(1.0 - ab) * np.asarray(eps)) / np.sqrt(ab)
 
 
-def mu_tilde_from_eps(x_t, eps, t, sched):
-    """Posterior mean in eps form: (x_t - (1-alpha)/sqrt(1-abar) eps) / sqrt(alpha)."""
+def mu_tilde_from_eps(x_t, eps, t, sched, var=None):
+    """The reverse mean at a scalar t: the eps form of the mean of q_sigma(x_{t-1} | x_t, x0).
+
+    sigma_t^2 = var.  The sqrt(alpha) term of c is exactly 0.0 at the default var = beta_tilde_t,
+    which leaves the posterior mean (x_t - (1-alpha)/sqrt(1-abar) eps) / sqrt(alpha).
+    """
     t = check_t(t, sched)
-    a, ab = sched.alpha[t], sched.alpha_bar[t]
-    return (np.asarray(x_t, dtype=np.float64)
-            - (1.0 - a) / np.sqrt(1.0 - ab) * np.asarray(eps)) / np.sqrt(a)
+    a, ab, bt = sched.alpha.item(t), sched.alpha_bar.item(t), sched.beta_tilde.item(t)
+    v_max = 1.0 - sched.alpha_bar.item(t - 1)  # 1 - abar_{t-1}, the largest sigma_t^2
+    var = bt if var is None else var
+    if not 0.0 <= var <= v_max:  # NaN fails too
+        raise ValueError("sigma_t^2 must lie in [0, 1 - abar_{t-1}]")
+    c = ((1.0 - a) / math.sqrt(1.0 - ab)
+         + math.sqrt(a) * (math.sqrt(v_max - bt) - math.sqrt(v_max - var)))
+    return (np.asarray(x_t, dtype=np.float64) - c * np.asarray(eps)) / math.sqrt(a)
 
 
 def loss_x0_weighted(x0_hat, x0, t, sched):

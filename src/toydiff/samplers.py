@@ -1,9 +1,10 @@
-"""Reverse processes: the stochastic DDPM step and the sigma-family DDIM step.
+"""Reverse processes: one Gaussian kernel per step, DDIM's sigma family.
 
-Both run on a noise predictor m, any object with ``data_dim`` and
-``predict(x, t, y, sched)``.  DDIM with the DDPM-equivalent sigma
-reproduces the DDPM step distribution; sigma = 0 gives fully
-deterministic generation.  The noise term is gated off at t = 1 in both.
+Each step runs a noise predictor m, any object with ``data_dim`` and
+``predict(x, t, y, sched)``, and draws x_{t-1} ~ N(mean, sigma_t^2 I), the
+mean from losses.mu_tilde_from_eps.  DDPM is the member sigma_t^2 =
+beta_tilde_t (beta_tilde_1 = 0 gates its noise off at t = 1), and DDIM's
+DDPM sigma policy runs the DDPM step; sigma = 0 is deterministic DDIM.
 
 States may carry a leading batch axis; one chain is strictly sequential,
 but a batch of chains advances in lock-step from a single stream.
@@ -11,6 +12,7 @@ sample_reverse is the one reverse-chain loop: guidance runs on it as a
 guided noise predictor m, so every sampler takes every guidance mode.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,51 +36,37 @@ class SamplerConfig:
         check_count(self.n_chains, 1, "n_chains")
 
 
-def ddpm_step(m, x_t, t, sched, y=None, rng=None):
-    """One stochastic denoising step x_t -> x_{t-1}.
+def _step(m, x_t, t, var, sched, y, rng):
+    """x_t -> x_{t-1} ~ N(mu_tilde_from_eps(var), var I), with no draw when var = 0."""
+    x_t = np.asarray(x_t, dtype=np.float64)
+    mean = mu_tilde_from_eps(x_t, m.predict(x_t, t, y, sched), t, sched, var)
+    return mean + math.sqrt(var) * rng.standard_normal(x_t.shape) if var > 0.0 else mean
 
-    Mean is the eps-form posterior mean; noise sqrt(beta_tilde_t) z is
-    added for t > 1 and gated off at t = 1.
+
+def ddpm_step(m, x_t, t, sched, y=None, rng=None):
+    """One DDPM step x_t -> x_{t-1}: the sigma family at sigma_t^2 = beta_tilde_t.
+
+    beta_tilde_1 = 0 gates the noise off at t = 1.  DDIM's DDPM sigma policy
+    runs this step, so it reproduces DDPM byte for byte.
     """
     t = check_t(t, sched)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = m.predict(x_t, t, y, sched)
-    mean = mu_tilde_from_eps(x_t, eps_hat, t, sched)
-    if t == 1:
-        return mean
-    z = rng.standard_normal(x_t.shape)
-    return mean + np.sqrt(sched.beta_tilde[t]) * z
+    return _step(m, x_t, t, sched.beta_tilde[t], sched, y, rng)
 
 
 def ddim_sigma_ddpm_equiv(t, sched):
-    """The sigma_t that makes the DDIM family coincide with DDPM.
-
-    Equals sqrt((1-abar_{t-1})/(1-abar_t)) * sqrt(1 - abar_t/abar_{t-1}),
-    whose square is beta_tilde_t; at t = 1, abar_0 = 1 makes it exactly 0.0.
-    """
-    t = check_t(t, sched)
-    ab_prev, ab = sched.alpha_bar[t - 1], sched.alpha_bar[t]
-    return float(np.sqrt((1.0 - ab_prev) / (1.0 - ab)) * np.sqrt(1.0 - ab / ab_prev))
+    """DDPM's sigma_t = sqrt(beta_tilde_t); the "ddpm" policy reproduces DDPM byte for byte."""
+    return math.sqrt(sched.beta_tilde[check_t(t, sched)])
 
 
 def ddim_step(m, x_t, t, sigma_t, sched, y=None, rng=None):
-    """One step of the sigma-parameterised family.
+    """One step of the sigma family, N(mu_tilde_from_eps(var=sigma_t^2), sigma_t^2 I).
 
-    x_{t-1} = predicted-x0 term + direction term + sigma_t z, with the
-    noise drawn only when sigma_t > 0 and t > 1.
+    sigma_t = 0 draws nothing.  DDPM is the member sigma_t^2 = beta_tilde_t;
+    the DDPM sigma policy runs ddpm_step, so it reproduces DDPM byte for byte.
     """
-    t = check_t(t, sched)
-    ab_prev = sched.alpha_bar[t - 1]
-    if not (sigma_t >= 0.0 and sigma_t ** 2 <= 1.0 - ab_prev):  # NaN fails too
-        raise ValueError("sigma_t^2 must lie in [0, 1 - abar_{t-1}]")
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = m.predict(x_t, t, y, sched)
-    ab = sched.alpha_bar[t]
-    out = ((x_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(sched.alpha[t])
-           + np.sqrt(1.0 - ab_prev - sigma_t ** 2) * eps_hat)
-    if sigma_t > 0.0 and t > 1:
-        out = out + sigma_t * rng.standard_normal(x_t.shape)
-    return out
+    if not sigma_t >= 0.0:  # NaN fails too; mu_tilde_from_eps checks sigma_t^2
+        raise ValueError("sigma_t must be >= 0")
+    return _step(m, x_t, t, sigma_t ** 2, sched, y, rng)
 
 
 def sample_reverse(m, cfg, sched, y=None, *, rng):
@@ -90,12 +78,10 @@ def sample_reverse(m, cfg, sched, y=None, *, rng):
     """
     x = rng.standard_normal((cfg.n_chains, m.data_dim))
     recorded = [x]  # the steps never write x in place, so no state needs a copy
+    ddpm = cfg.kind == "ddpm" or cfg.sigma_policy == "ddpm"
     for t in range(sched.T, 0, -1):
-        if cfg.kind == "ddpm":
-            x = ddpm_step(m, x, t, sched, y=y, rng=rng)
-        else:
-            sigma_t = ddim_sigma_ddpm_equiv(t, sched) if cfg.sigma_policy == "ddpm" else 0.0
-            x = ddim_step(m, x, t, sigma_t, sched, y=y, rng=rng)
+        x = (ddpm_step(m, x, t, sched, y=y, rng=rng) if ddpm
+             else ddim_step(m, x, t, 0.0, sched, y=y, rng=rng))
         if cfg.record or t == 1:
             recorded.append(x)
     return np.stack(recorded)

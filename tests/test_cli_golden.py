@@ -50,8 +50,8 @@ GOLDEN = {
     "cond.ckpt": "7e45260cf304ba52a5816e8ab1059903f67a4c60108112edf933b54beb2bee7b",
     "cls.ckpt": "62ff7be25d3878b9e13e5302e438bb20cceca5f8bae3011b7766b730e76d65a3",
     "ddpm.csv": "768ed29bf94f82d37ae656373bf43646c9cfae57c2c969123d7fd60ecbee4b84",
-    "ddim0.csv": "c07bb4994b325f3569a89ac0f0cdf16a96ac5ddbd49bfeb5c5aef3063718639d",
-    "ddimd.csv": "46d94bf1f17b7df22a54c3a95b94593be59df8a02262c4b45e6a90ca9fee5ac0",
+    "ddim0.csv": "5f93d122d8a429508c499ef501b5fc6566d3de4c327b37c0546fba27dd48e04a",
+    "ddimd.csv": "3515dec6b6a82b3a9d8f1cb9973ecb62d3ccefb83db403c09e918a71890f5aef",
     "label.csv": "04d43fe57fb9919fd2bc623114cf68a795d66c0da6c4bdda5002b0f3e0b1aa6d",
     "cfg.csv": "416e282395627778822981de7ca8b0ee2f79ef1c7c5b24f6baa1b8b895940ebc",
     "clsg.csv": "0c2dea94b69c4fea917f3c3e9422ed2fe7349f654028561c66d0b2190bfa9c75",

@@ -36,18 +36,18 @@ GOLDEN = {
     "sample/ddpm/n1/record1": "dd5d19ff6fecddbc5e364c71741f5f083d61876857e9b0d2e204780c0df9ff3a",
     "sample/ddpm/n7/record0": "30c226d654ce1a70794d189ed26dbb847c8dc99d82b692cb001273b81782e174",
     "sample/ddpm/n7/record1": "1ef933def8d85374ab7d9bc9c1f10dcad48b48a3d729442b8b86d96b9c2b9890",
-    "sample/ddim0/n1/record0": "9382f8b80199ab72a387534fb597d0c35068d04ef363f931693bfc27b458f9ec",
-    "sample/ddim0/n1/record1": "b4943ef05ba9082bc85fcbc666dc7b1cc55de9b05aa8c6fc140567b56b2b0838",
-    "sample/ddim0/n7/record0": "81283543d2cdef18652fb2fb82809410629f59ee878711468dd03479bbb4e178",
-    "sample/ddim0/n7/record1": "08bbe3b99439d54183b83b629ef5153fe77eaef907a8e60b73553f767ea26260",
-    "sample/ddimd/n1/record0": "9d28a92ebfc37e5b1d257d9f7788309a3fe1992979fedd4bbe646efea986480f",
-    "sample/ddimd/n1/record1": "5456bc5fb1fde5550a2cee3f79aed474aeeca57a1ff36f8b1b83c3b13d06e040",
-    "sample/ddimd/n7/record0": "b88794ef50e53b825b849c76ff0b170596711b232722416e88ff3a0c58b645de",
-    "sample/ddimd/n7/record1": "5c8d8dcc9c7ecf73a40de0407daf0b4def22f476ae8ea862b1aa427c42212867",
+    "sample/ddim0/n1/record0": "4905235151e53ea9fa23e9f2eb603f6e19c2ba0af50bf6bf4f20c1848058cd74",
+    "sample/ddim0/n1/record1": "8abbfae0a4e8940f6de098abce3bf3968f84c6a188a38a5fe66ca95e4644a63c",
+    "sample/ddim0/n7/record0": "a70b40bb0590fc8fa83c812e2b74fc81467c9df31ff7e68008bf08545a6514ac",
+    "sample/ddim0/n7/record1": "1f427ce8bd3750e570b1c211d4cd646a21ae7b3f8ef596441368c7b92fc982c6",
+    "sample/ddimd/n1/record0": "315adf40952ba93bdad78c823582d1d653e1e20c3641fafa3ff8d83529abe15a",
+    "sample/ddimd/n1/record1": "dd5d19ff6fecddbc5e364c71741f5f083d61876857e9b0d2e204780c0df9ff3a",
+    "sample/ddimd/n7/record0": "30c226d654ce1a70794d189ed26dbb847c8dc99d82b692cb001273b81782e174",
+    "sample/ddimd/n7/record1": "1ef933def8d85374ab7d9bc9c1f10dcad48b48a3d729442b8b86d96b9c2b9890",
     "guidance/none": "42653c9d4431b1724a760da3e97b35dd98a2590d67687c84c8e7f3726ed4c80d",
     "guidance/classifier-free": "e0c39a3bebe005c24dcdcb2c32f27558c43fc45420bc40f8ef385e1e16659992",
     "guidance/classifier": "e0382d4376b297efe9cff64d652dcb3759ac4b28908686692049ad4e55280792",
-    "guidance/classifier/ddim0": "63e7a704f460f7f58d93400086cb7c396b13b07ab656bf527eb269f4cc5fcc90",
+    "guidance/classifier/ddim0": "5930251b6d8b827d44a56e56d15af13ee38530c58e9fcbe4fd3fc771325819a9",
     "vlb": "ec06a3f6f21be0e9e4193a2581bbaaba3fc3a42946c8c4d63ce4193efa624312",
     "predict": "bfe29550b9f5cef1bb279fc804ef027a850a93798e8f3ce183ee6a10ebbee154",
     "classifier": "cf750ef72e78977bf02c60b4531203d62ffa8321e73933ef6720164a99da7f64",
