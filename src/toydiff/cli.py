@@ -213,6 +213,8 @@ def _cmd_hist(args, rng):
     if len(lines) < 2:
         raise ValueError(f"{args.input}: no data rows to histogram")
     header = lines[0].split(",")
+    if "dim0" not in header:
+        raise ValueError(f"{args.input}: no dim0 column")
     col = header.index("dim0")
     try:
         vals = np.array([float(l.split(",")[col]) for l in lines[1:]])

@@ -78,3 +78,14 @@ def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch, capsys):
     assert run_cli(STDOUT_RUN) == 0
     digests["stdout"] = _sha(capsys.readouterr().out.encode())
     assert digests == GOLDEN
+
+
+def test_ddim_with_the_ddpm_sigma_writes_the_ddpm_rows(tmp_path, monkeypatch):
+    # only the header lines, which record the flags, tell ddimd.csv from ddpm.csv
+    monkeypatch.chdir(tmp_path)
+    for argv, outputs in COMMANDS:
+        if outputs[0] in ("m.ckpt", "ddpm.csv", "ddimd.csv"):
+            assert run_cli(argv) == 0, argv
+    ddpm, ddimd = ([line for line in (tmp_path / name).read_text().splitlines()
+                    if not line.startswith("#")] for name in ("ddpm.csv", "ddimd.csv"))
+    assert len(ddpm) == 26 and ddpm == ddimd

@@ -156,6 +156,20 @@ def test_cfg_works_with_deterministic_ddim():
     assert np.all(np.isfinite(a))
 
 
+@pytest.mark.parametrize("mode, m", [("classifier-free", COND), ("classifier", UNCOND)])
+def test_guided_ddim_with_the_ddpm_sigma_returns_the_ddpm_bytes(mode, m):
+    g = GuidanceConfig(mode=mode, scale=1.5, target=1, classifier=CLS)
+    for n in (1, 7):
+        for record in (False, True):
+            runs = []
+            for kw in (SAMPLERS["ddpm"], SAMPLERS["ddimd"]):
+                rng = RngState(12 + n, int(record))
+                states = guided_sample(m, SamplerConfig(n_chains=n, record=record, **kw),
+                                       g, SCHED, rng)
+                runs.append((states.shape, states.tobytes(), rng.normal_draws))
+            assert runs[0] == runs[1]
+
+
 def test_cfg_on_an_unconditional_model_fails_before_any_draw():
     rng = RngState(11)
     g = GuidanceConfig(mode="classifier-free", scale=1.0, target=1)

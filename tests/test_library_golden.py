@@ -163,3 +163,17 @@ def test_ddim_chains_track_the_ddim_form_of_the_mean(sched, policy):
             ref.append(x)
         assert rng.normal_draws == ref_rng.normal_draws
         assert np.max(np.abs(states - np.stack(ref))) <= 1e-12
+
+
+@pytest.mark.parametrize("record", (False, True))
+@pytest.mark.parametrize("n", (1, 7))
+def test_ddim_with_the_ddpm_sigma_returns_the_ddpm_bytes(n, record):
+    runs = []
+    for kw in (dict(kind="ddpm"), dict(kind="ddim", sigma_policy="ddpm")):
+        rng = RngState(10 + n, int(record))
+        cfg = samplers.SamplerConfig(n_chains=n, record=record, **kw)
+        states = samplers.sample_reverse(_trained("simple", 0)[0], cfg, SCHED, rng=rng)
+        runs.append((states.shape, states.tobytes(), rng.normal_draws))
+    assert runs[0] == runs[1]
+    key = f"n{n}/record{int(record)}"
+    assert GOLDEN[f"sample/ddimd/{key}"] == GOLDEN[f"sample/ddpm/{key}"]

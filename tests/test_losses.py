@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,38 @@ def test_mu_tilde_matches_posterior_mean_randomized():
         mu = mu_tilde_from_eps(xt, eps, t, s)
         post = posterior_q(xt, x0, t, s)
         assert np.allclose(mu, post.mean, rtol=1e-12, atol=1e-12)
+
+
+def test_mu_tilde_with_var_is_the_sigma_family_mean_randomized():
+    # [DERIVED] with the true eps the eps form equals the x0 form of the mean of
+    # q_sigma(x_{t-1} | x_t, x0): sqrt(abar') x0 + sqrt(1 - abar' - var) (x_t - sqrt(abar) x0) / sqrt(1 - abar)
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        s = random_schedule(rng)
+        t = int(rng.integers(1, s.T + 1))
+        ab, ab_prev = s.alpha_bar[t], s.alpha_bar[t - 1]
+        x0, eps = rng.normal(size=2), rng.normal(size=2)
+        xt = np.sqrt(ab) * x0 + np.sqrt(1 - ab) * eps
+        var = rng.uniform(0.0, 1.0 - ab_prev)
+        x0_form = (np.sqrt(ab_prev) * x0
+                   + np.sqrt(1 - ab_prev - var) * (xt - np.sqrt(ab) * x0) / np.sqrt(1 - ab))
+        assert np.allclose(mu_tilde_from_eps(xt, eps, t, s, var), x0_form,
+                           rtol=1e-12, atol=1e-12)
+        default = mu_tilde_from_eps(xt, eps, t, s)
+        assert mu_tilde_from_eps(xt, eps, t, s, s.beta_tilde[t]).tobytes() == default.tobytes()
+
+
+def test_mu_tilde_rejects_a_var_outside_the_family():
+    # one range check for sigma_t^2, with its own message rather than a math domain error
+    s = make_linear_schedule(10, 0.05, 0.2)
+    xt, eps = np.array([0.8]), np.array([-0.4])
+    v_max = 1 - s.alpha_bar[3]
+    for t, bad in ((4, math.nan), (4, -1e-300), (4, v_max * (1 + 1e-12)), (1, 1e-3)):
+        with pytest.raises(ValueError, match=re.escape("sigma_t^2 must lie in [0, 1 - abar_{t-1}]")):
+            mu_tilde_from_eps(xt, eps, t, s, bad)
+    # at the top of the range the direction term is gone: sqrt(abar_{t-1}) x0_hat
+    assert np.allclose(mu_tilde_from_eps(xt, eps, 4, s, v_max),
+                       np.sqrt(s.alpha_bar[3]) * x0_from_eps(xt, eps, 4, s), rtol=1e-12)
 
 
 def test_mu_tilde_zero_noise_rescales():

@@ -402,6 +402,10 @@ def _bad_input(tmp_path, case):
         short = tmp_path / "short.csv"
         short.write_text("# seed=0\nchain,t,dim0\n0,0\n1,0,2.5\n")
         return ["hist", "--seed", 0, "--input", short, "--out", tmp_path / "h.csv"]
+    if case == "hist-no-dim0":
+        other = tmp_path / "other.csv"
+        other.write_text("# seed=0\nchain,t,dim1\n0,0,2.5\n")
+        return ["hist", "--seed", 0, "--input", other, "--out", tmp_path / "h.csv"]
     if case.startswith("config-"):  # a config line is parsed as the flag it names
         cfgf = tmp_path / "bad.cfg"
         cfgf.write_text({"config-unknown-key": "stpes=10\n",
@@ -473,6 +477,7 @@ def _bad_input(tmp_path, case):
     ("vlb-classifier-checkpoint", 2, "not a NoisePredictor"),
     ("classifier-flag-noise-predictor", 2, "not a Classifier"),
     ("hist-short-row", 2, "no dim0 field"),
+    ("hist-no-dim0", 2, "other.csv: no dim0 column"),
     ("kl-q-nan", 1, "--q needs finite numbers"),
     ("forward-x0-nan", 1, "--x0 needs finite numbers"),
     ("forward-x0-inf", 1, "--x0 needs finite numbers"),

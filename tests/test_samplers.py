@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import PointMassOracle
+from oracles import PointMassOracle, ddim_mean
 
 from toydiff.losses import mu_tilde_from_eps
 from toydiff.model import init_noise_predictor
@@ -83,9 +83,7 @@ def test_ddim_ddpm_equivalence_mean_and_spread():
     e = oracle.predict(xt, t, None, SCHED)
     mean_ddpm = mu_tilde_from_eps(xt, e, t, SCHED)
     sig = ddim_sigma_ddpm_equiv(t, SCHED)
-    ab, ab_prev = SCHED.alpha_bar[t], SCHED.alpha_bar[t - 1]
-    mean_ddim = ((xt - np.sqrt(1 - ab) * e) / np.sqrt(SCHED.alpha[t])
-                 + np.sqrt(1 - ab_prev - sig ** 2) * e)
+    mean_ddim = ddim_mean(xt, e, t, sig, SCHED)
     assert np.allclose(mean_ddim, mean_ddpm, rtol=1e-12, atol=1e-12)
 
     n = 10**5
