@@ -69,7 +69,8 @@ class GaussianTiltClassifier:
 
 def ddim_sigma_product(t, sched):
     """The DDPM sigma_t as Song et al. (arXiv 2010.02502, eq. 16) write it:
-    sqrt((1 - abar_{t-1}) / (1 - abar_t)) * sqrt(1 - abar_t / abar_{t-1}), whose square is beta_tilde_t."""
+    sqrt((1 - abar_{t-1}) / (1 - abar_t)) * sqrt(1 - abar_t / abar_{t-1}).
+    Its square is beta_tilde_t."""
     ab_prev, ab = sched.alpha_bar[t - 1], sched.alpha_bar[t]
     return float(np.sqrt((1.0 - ab_prev) / (1.0 - ab)) * np.sqrt(1.0 - ab / ab_prev))
 

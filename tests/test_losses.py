@@ -65,7 +65,8 @@ def test_mu_tilde_matches_posterior_mean_randomized():
 
 def test_mu_tilde_with_var_is_the_sigma_family_mean_randomized():
     # [DERIVED] with the true eps the eps form equals the x0 form of the mean of
-    # q_sigma(x_{t-1} | x_t, x0): sqrt(abar') x0 + sqrt(1 - abar' - var) (x_t - sqrt(abar) x0) / sqrt(1 - abar)
+    # q_sigma(x_{t-1} | x_t, x0), with abar' = abar_{t-1}:
+    # sqrt(abar') x0 + sqrt(1 - abar' - var) (x_t - sqrt(abar) x0) / sqrt(1 - abar)
     rng = np.random.default_rng(5)
     for _ in range(300):
         s = random_schedule(rng)
@@ -86,9 +87,9 @@ def test_mu_tilde_rejects_a_var_outside_the_family():
     # one range check for sigma_t^2, with its own message rather than a math domain error
     s = make_linear_schedule(10, 0.05, 0.2)
     xt, eps = np.array([0.8]), np.array([-0.4])
-    v_max = 1 - s.alpha_bar[3]
+    v_max, message = 1 - s.alpha_bar[3], re.escape("sigma_t^2 must lie in [0, 1 - abar_{t-1}]")
     for t, bad in ((4, math.nan), (4, -1e-300), (4, v_max * (1 + 1e-12)), (1, 1e-3)):
-        with pytest.raises(ValueError, match=re.escape("sigma_t^2 must lie in [0, 1 - abar_{t-1}]")):
+        with pytest.raises(ValueError, match=message):
             mu_tilde_from_eps(xt, eps, t, s, bad)
     # at the top of the range the direction term is gone: sqrt(abar_{t-1}) x0_hat
     assert np.allclose(mu_tilde_from_eps(xt, eps, 4, s, v_max),
