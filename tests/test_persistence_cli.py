@@ -97,15 +97,19 @@ def test_checkpoint_truncation_reports_line(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_bad_line_reports_position(tmp_path):
+@pytest.mark.parametrize("good, bad", [("last", "not-a-number"), ("data_dim=1", "data_dim 1")],
+                         ids=["parameter", "header"])  # a header line without '='
+def test_checkpoint_bad_line_reports_position(tmp_path, good, bad):
     m = init_noise_predictor(1, hidden=(4,), rng=RngState(5))
     path = tmp_path / "b.ckpt"
     save_checkpoint(m, SCHED, path)
     lines = path.read_text().splitlines()
-    lines[-1] = "not-a-number"
+    i = len(lines) - 1 if good == "last" else lines.index(good)
+    lines[i] = bad
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="line"):
+    with pytest.raises(ValueError) as e:
         load_checkpoint(path)
+    assert str(e.value) == f"checkpoint parse error at line {i + 1}: {bad!r}"
 
 
 def test_checkpoint_version_check(tmp_path):
