@@ -70,8 +70,8 @@ def _unused(args, why, *dests):
 def _schedule_from(args):
     kind = args.schedule or "linear"
     make, names = schedules.constructor(kind)
-    _unused(args, f"to a {kind} schedule",
-            *(d for d in ("beta_start", "beta_end", "offset") if d not in names))
+    _unused(args, f"to a {kind} schedule", *(d for k in schedules.KINDS
+                                            for d in schedules.constructor(k)[1] if d not in names))
     given = _given(args, T="T", **{k: k for k in names})
     desk = {"T": 100, "beta_start": 1e-3, "beta_end": 0.2}  # a kind takes the keys it declares
     desk = {k: desk[k] for k in ("T", *names) if k in desk}
@@ -229,9 +229,9 @@ def _cmd_hist(args, rng):
 def _add_schedule_flags(p):
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--schedule", choices=schedules.KINDS, default=None)
-    p.add_argument("--beta-start", type=float, default=None)
-    p.add_argument("--beta-end", type=float, default=None)
-    p.add_argument("--offset", type=float, default=None)
+    for kind in schedules.KINDS:  # each kind's arguments after T, in KINDS order
+        for a in schedules.constructor(kind)[1]:
+            p.add_argument(f"--{a.replace('_', '-')}", type=float, default=None)
     p.add_argument("--desk", action="store_true",
                    help="desk-scale profile: T=100 and linear beta in [1e-3, 0.2]; "
                         "flags override its values, and overriding all of them is an error")

@@ -106,10 +106,8 @@ def vlb_estimate(m, x0, sched, M, rng):
     Lt = np.zeros(max(sched.T - 1, 0))
     for t in range(2, sched.T + 1):
         x_t, _ = forward.sample_xt(x0s, t, sched, rng)
-        post = forward.posterior_q(x_t, x0s, t, sched)
-        mu = mu_p(x_t, t)
-        p = DiagGaussian(mu, np.full_like(mu, sched.beta_tilde[t]))
-        Lt[t - 2] = kl_closed_form(post, p) / M
+        post = forward.posterior_q(x_t, x0s, t, sched)  # the model's kernel shares its variance
+        Lt[t - 2] = kl_closed_form(post, DiagGaussian(mu_p(x_t, t), post.var)) / M
 
     x1, _ = forward.sample_xt(x0s, 1, sched, rng)
     x0_hat = mu_p(x1, 1)

@@ -26,7 +26,6 @@ noise, and 256 keeps a (ROWS, 64) block at 128 KB.
 
 import numpy as np
 
-from .rng import RngState
 from .schedules import check_count, check_index, check_t
 
 N_TIME_FEATURES = 4
@@ -54,7 +53,6 @@ def _layers(p, widths):
 
 def _init_params(widths, n_params, rng):
     """uniform(+-1/sqrt(fan_in)) weights and zero biases, drawn layer by layer."""
-    rng = rng if rng is not None else RngState(0)
     p = np.zeros(n_params)
     for W, _ in _layers(p, widths):
         W[...] = rng.uniform(-1.0, 1.0, W.shape) / np.sqrt(W.shape[0])
@@ -257,13 +255,13 @@ class Classifier(_Network):
         return loss, grad
 
 
-def init_noise_predictor(data_dim, hidden=(64, 64), conditioning=None, rng=None):
+def init_noise_predictor(data_dim, hidden=(64, 64), conditioning=None, *, rng):
     """Fresh noise predictor: uniform(+-1/sqrt(fan_in)) weights, zero biases."""
     params = _init_params(*_widths(data_dim, hidden, data_dim, conditioning)[1:], rng)
     return NoisePredictor(data_dim, hidden, conditioning, params)
 
 
-def init_classifier(data_dim, n_classes, hidden=(64, 64), rng=None):
+def init_classifier(data_dim, n_classes, hidden=(64, 64), *, rng):
     """Fresh classifier with the same initialization scheme."""
     n_classes = check_count(n_classes, 2, "n_classes")  # before any draw
     params = _init_params(*_widths(data_dim, hidden, n_classes, None)[1:], rng)

@@ -59,19 +59,16 @@ def load_checkpoint(path):
     for i, line in enumerate(raw, start=1):
         if not line or line.startswith("#"):
             continue
-        if in_params:
-            try:
+        try:  # a parameter that is not a float, or a header line without '='
+            if in_params:
                 params.append(float(line))
-            except ValueError:
-                raise ValueError(f"checkpoint parse error at line {i}: {line!r}")
-            continue
-        if line == "params:":
-            in_params = True
-            continue
-        if "=" not in line:
+            elif line == "params:":
+                in_params = True
+            else:
+                k, v = line.split("=", 1)
+                meta[k] = v
+        except ValueError:
             raise ValueError(f"checkpoint parse error at line {i}: {line!r}")
-        k, v = line.split("=", 1)
-        meta[k] = v
     if int(meta.get("version", -1)) != FORMAT_VERSION:
         raise ValueError(f"unknown checkpoint version: {meta.get('version')}")
     n = int(meta["n_params"])

@@ -38,9 +38,8 @@ class SamplerConfig:
 
 def _step(m, x_t, t, var, sched, y, rng):
     """x_t -> x_{t-1} ~ N(mu_tilde_from_eps(var), var I), with no draw when var = 0."""
-    x_t = np.asarray(x_t, dtype=np.float64)
     mean = mu_tilde_from_eps(x_t, m.predict(x_t, t, y, sched), t, sched, var)
-    return mean + math.sqrt(var) * rng.standard_normal(x_t.shape) if var > 0.0 else mean
+    return mean + math.sqrt(var) * rng.standard_normal(mean.shape) if var > 0.0 else mean
 
 
 def ddpm_step(m, x_t, t, sched, y=None, rng=None):

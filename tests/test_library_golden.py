@@ -70,11 +70,11 @@ def _trained(variant, seed):
     cfg = training.TrainConfig(steps=150, batch_size=32, eta=0.05, eval_interval=30,
                                loss_variant="weighted" if variant == "weighted" else "simple")
     if variant == "classifier":
-        net = init_classifier(1, 2, HIDDEN, RngState(seed, 1))
+        net = init_classifier(1, 2, HIDDEN, rng=RngState(seed, 1))
         rep = training.train_classifier(net, DATA, SCHED, cfg, RngState(seed, 2))
     else:
         cond = 2 if variant == "conditional" else None
-        net = init_noise_predictor(1, HIDDEN, cond, RngState(seed, 1))
+        net = init_noise_predictor(1, HIDDEN, cond, rng=RngState(seed, 1))
         rep = training.train(net, DATA, SCHED, cfg, RngState(seed, 2))
     return net, rep
 

@@ -255,12 +255,13 @@ def test_widths_conditioning_and_class_counts_must_be_integers():
     builds = {"layer width": (lambda w: NoisePredictor(w, (4,), None, np.zeros(n)),
                               lambda w: NoisePredictor(1, (w,), None, np.zeros(n)),
                               lambda w: Classifier(1, (w,), 2, np.zeros(n + 5)),
-                              lambda w: init_noise_predictor(w, hidden=(4,)),
-                              lambda w: init_noise_predictor(1, hidden=(w,)),
-                              lambda w: init_classifier(w, 2, hidden=(4,)),
-                              lambda w: init_classifier(1, 2, hidden=(w,))),
-              "conditioning": (lambda k: init_noise_predictor(1, (4,), conditioning=k),),
-              "n_classes": (lambda k: init_classifier(1, k, hidden=(4,)),
+                              lambda w: init_noise_predictor(w, hidden=(4,), rng=RngState(0)),
+                              lambda w: init_noise_predictor(1, hidden=(w,), rng=RngState(0)),
+                              lambda w: init_classifier(w, 2, hidden=(4,), rng=RngState(0)),
+                              lambda w: init_classifier(1, 2, hidden=(w,), rng=RngState(0))),
+              "conditioning": (lambda k: init_noise_predictor(1, (4,), conditioning=k,
+                                                              rng=RngState(0)),),
+              "n_classes": (lambda k: init_classifier(1, k, hidden=(4,), rng=RngState(0)),
                             lambda k: Classifier(1, (4,), k, np.zeros(n + 5)))}
     bad = {"layer width": (1.9, 4.7, 4.0, 0, math.nan),
            "conditioning": (-1, 0, 2.0, 1.5),  # 0 or -1 left the model no label to take
@@ -272,7 +273,7 @@ def test_widths_conditioning_and_class_counts_must_be_integers():
                 for v in bad[name]:
                     with pytest.raises(ValueError, match=name):
                         make(v)
-    m = init_noise_predictor(np.int64(1), (np.int64(4),), np.int64(2), RngState(0))
+    m = init_noise_predictor(np.int64(1), (np.int64(4),), np.int64(2), rng=RngState(0))
     assert m.hidden == (4,) and m.widths == (1 + 4 + 3, 4, 1)
     assert all(type(v) is int for v in (m.data_dim, *m.hidden, m.out_dim, m.conditioning))
     c = Classifier(1, np.array([4]), np.int64(2), np.zeros(n + 5))
