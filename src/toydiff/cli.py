@@ -216,10 +216,16 @@ def _cmd_hist(args, rng):
     if "dim0" not in header:
         raise ValueError(f"{args.input}: no dim0 column")
     col = header.index("dim0")
-    try:
-        vals = np.array([float(l.split(",")[col]) for l in lines[1:]])
-    except IndexError:
-        raise ValueError(f"{args.input}: a data row has no dim0 field")
+    vals = []
+    for fields in (l.split(",") for l in lines[1:]):
+        try:
+            vals.append(float(fields[col]))  # float() also reads 'nan' and 'inf'
+        except IndexError:
+            raise ValueError(f"{args.input}: a data row has no dim0 field")
+        except ValueError:
+            vals.append(np.nan)
+        if not abs(vals[-1]) < np.inf:  # NaN fails too; np.histogram bins only finite values
+            raise ValueError(f"{args.input}: dim0 value {fields[col]!r} is not a finite number")
     # numpy's rule: equal-width bins over [min, max], or [v - 0.5, v + 0.5] if all equal v
     counts, edges = np.histogram(vals, bins=args.bins)
     rows = list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))

@@ -74,9 +74,9 @@ class VlbReport:
     total: float
 
     def __post_init__(self):
-        if abs(self.total - (self.L0 + float(np.sum(self.Lt)) + self.LT)) > 1e-12:
-            raise ValueError("total must equal the sum of the terms")
-        if self.LT < 0 or np.any(self.Lt < 0):
+        if not abs(self.total - (self.L0 + float(np.sum(self.Lt)) + self.LT)) <= 1e-12:
+            raise ValueError("total must equal the sum of the terms")  # NaN fails too
+        if not (self.LT >= 0 and np.all(self.Lt >= 0)):
             raise ValueError("KL terms must be nonnegative")
 
 
@@ -97,6 +97,8 @@ def vlb_estimate(m, x0, sched, M, rng):
     """
     check_count(M, 1, "M")
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+    if not np.all(np.isfinite(x0)):  # before any draw
+        raise ValueError("x0 must be finite")
     x0s = np.tile(x0, M)  # the M draws side by side, flattened in C order
 
     def mu_p(x_t, t):

@@ -95,7 +95,7 @@ def check_index(v, lo, hi, name):
     is an integer value in [lo, hi], where hi is finite so that NaN and inf fail."""
     if not isinstance(v, (int, float, np.number)):  # a 0-d array compares ~20x slower
         v = np.asarray(v)
-        if np.all((lo <= v) & (v <= hi)) and not np.any(v % 1):
+        if v.dtype.kind in "biuf" and np.all((lo <= v) & (v <= hi)) and not np.any(v % 1):
             return v.astype(np.int64, copy=False) if v.ndim else int(v)
     elif lo <= v <= hi and v == int(v):
         return int(v)

@@ -86,6 +86,10 @@ def test_mode_masses_hand_case():
                         (samples[:, 0], spec)):  # a 1-D array was one 4-dim sample
         with pytest.raises(ValueError, match="are not"):
             mode_masses(bad, target)
+    with pytest.raises(ValueError, match="empty sample"):
+        mode_masses(np.zeros((0, 1)), spec)
+    with pytest.raises(ValueError, match="at least 2 modes"):
+        mode_masses(samples, GmmSpec(weights=[1.0], means=[[0.0]], vars=[[1.0]]))
 
 
 def test_mode_masses_on_true_samples():

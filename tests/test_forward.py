@@ -30,6 +30,11 @@ def test_gmm_spec_validation():
                     ([0.5, 0.5], [[0.0], [1.0]], [[1.0], [float("inf")]])]:
         with pytest.raises(ValueError):
             GmmSpec(weights=w, means=m, vars=v)
+    for w, m, v in [([0.5, 0.5], [[0.0], [1.0]], [[1.0]]),  # one variance row for two means
+                    ([0.5, 0.5], [[0.0], [1.0], [2.0]], [[1.0], [1.0], [1.0]]),
+                    ([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], [[1.0], [1.0]])]:
+        with pytest.raises(ValueError, match="inconsistent mixture shapes"):
+            GmmSpec(weights=w, means=m, vars=v)
     for labels in ([0], [0, 1, 1], [0, -1], [-2, 1],
                    [0.5, 1], [float("nan"), 1], [float("inf"), 1]):
         with pytest.raises(ValueError, match="labels"):

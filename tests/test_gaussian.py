@@ -51,6 +51,19 @@ def test_gaussian_rejects_negative_variance():
             DiagGaussian([0.0], [var])
 
 
+def test_gaussian_and_kl_reject_mismatched_shapes_and_zero_variance():
+    with pytest.raises(ValueError, match="same dimension"):
+        DiagGaussian([0.0, 1.0], [1.0])
+    one, two = DiagGaussian([0.0], [1.0]), DiagGaussian([0.0, 0.0], [1.0, 1.0])
+    for q, p in ((one, two), (two, one)):
+        with pytest.raises(ValueError, match="dimension mismatch between q and p"):
+            kl_closed_form(q, p)
+    point = DiagGaussian([0.0], [0.0])  # a valid Gaussian, but no KL in closed form
+    for q, p in ((point, one), (one, point)):
+        with pytest.raises(ValueError, match="strictly positive variances"):
+            kl_closed_form(q, p)
+
+
 def test_sample_zero_variance_returns_mean_exactly():
     g = DiagGaussian([2.0, -3.0], [0.0, 0.0])
     out = sample(g, RngState(1), size=5)

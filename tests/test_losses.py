@@ -149,6 +149,16 @@ def test_vlb_report_invariants():
         VlbReport(L0=1.0, Lt=np.array([0.5]), LT=0.2, total=2.0)
     with pytest.raises(ValueError):
         VlbReport(L0=1.0, Lt=np.array([-0.5]), LT=0.2, total=0.7)
+    nan = math.nan  # a NaN term or total used to pass both checks
+    for L0, Lt, LT, total in ((1.0, [0.5], 0.2, nan), (nan, [0.5], 0.2, nan),
+                              (1.0, [nan], 0.2, nan), (1.0, [0.5], nan, nan)):
+        with pytest.raises(ValueError, match="total must equal"):
+            VlbReport(L0=L0, Lt=np.array(Lt), LT=LT, total=total)
+    s, rng = make_linear_schedule(6, 0.05, 0.3), RngState(0)
+    for x0 in ([math.inf], [math.nan], [0.5, -math.inf]):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            vlb_estimate(PointMassOracle(np.array([0.5])), x0, s, 2, rng)
+    assert rng.normal_draws == 0
 
 
 def test_vlb_oracle_predictor_zeroes_kl_terms():

@@ -134,6 +134,13 @@ def test_loss_zero_when_target_equals_prediction():
     loss, grad = m.loss_and_grad(x, 12, None, eps, SCHED)
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros_like(grad))
+    with pytest.raises(ValueError, match="dimension mismatch between x and model"):
+        m.predict(np.zeros((2, 2)), 12, None, SCHED)
+    with pytest.raises(ValueError, match="empty batch"):
+        m.loss_and_grad(np.zeros((0, 1)), 12, None, np.zeros((0, 1)), SCHED)
+    for bad_eps in (eps[:1], np.zeros((2, 2))):  # one row short; a second dimension
+        with pytest.raises(ValueError, match="batch shape mismatch"):
+            m.loss_and_grad(x, 12, None, bad_eps, SCHED)
 
 
 def test_loss_batch_duplication_invariance():
@@ -229,6 +236,10 @@ def test_classifier_nll_gradient_matches_finite_differences():
     for bad in (0.5, np.nan, 2):
         with pytest.raises(ValueError):
             c.grad_x(x[0], 15, bad, SCHED)
+    with pytest.raises(ValueError, match="one class id"):
+        c.grad_x(x[0], 15, [1], SCHED)
+    with pytest.raises(ValueError, match="labels: need one per row"):
+        c.nll_and_grad(x[:3], t[:3], [[0], [1], [0]], SCHED)
 
 
 def test_no_nan_for_large_inputs():

@@ -406,6 +406,11 @@ def _bad_input(tmp_path, case):
         short = tmp_path / "short.csv"
         short.write_text("# seed=0\nchain,t,dim0\n0,0\n1,0,2.5\n")
         return ["hist", "--seed", 0, "--input", short, "--out", tmp_path / "h.csv"]
+    if case in ("hist-bad-value", "hist-nan", "hist-inf"):
+        bad = tmp_path / "bad.csv"
+        v = {"hist-bad-value": "abc", "hist-nan": "nan", "hist-inf": "inf"}[case]
+        bad.write_text(f"# seed=0\nchain,t,dim0\n0,0,1.5\n1,0,{v}\n")
+        return ["hist", "--seed", 0, "--input", bad, "--out", tmp_path / "h.csv"]
     if case == "hist-no-dim0":
         other = tmp_path / "other.csv"
         other.write_text("# seed=0\nchain,t,dim1\n0,0,2.5\n")
@@ -481,6 +486,9 @@ def _bad_input(tmp_path, case):
     ("vlb-classifier-checkpoint", 2, "not a NoisePredictor"),
     ("classifier-flag-noise-predictor", 2, "not a Classifier"),
     ("hist-short-row", 2, "no dim0 field"),
+    ("hist-bad-value", 2, "bad.csv: dim0 value 'abc' is not a finite number"),
+    ("hist-nan", 2, "bad.csv: dim0 value 'nan' is not a finite number"),
+    ("hist-inf", 2, "bad.csv: dim0 value 'inf' is not a finite number"),
     ("hist-no-dim0", 2, "other.csv: no dim0 column"),
     ("kl-q-nan", 1, "--q needs finite numbers"),
     ("forward-x0-nan", 1, "--x0 needs finite numbers"),

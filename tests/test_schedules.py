@@ -14,7 +14,7 @@ from toydiff.losses import (eps_kl_weight, loss_eps_weighted, loss_x0_weighted,
 from toydiff.model import init_noise_predictor
 from toydiff.rng import RngState
 from toydiff.samplers import ddim_sigma_ddpm_equiv, ddim_step, ddpm_step
-from toydiff.schedules import check_t, make_cosine_schedule, make_linear_schedule
+from toydiff.schedules import check_t, constructor, make_cosine_schedule, make_linear_schedule
 
 
 @pytest.mark.parametrize("kind, T", [("linear", 1), ("linear", 2), ("linear", 100),
@@ -83,6 +83,10 @@ def test_cosine_validation_errors():
         make_cosine_schedule(10, 0.0)
     with pytest.raises(ValueError, match="offset"):
         make_cosine_schedule(10, float("nan"))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="every beta_t"):
+        make_cosine_schedule(10, math.inf)  # passes the offset check; every beta_t is NaN
+    with pytest.raises(ValueError, match="unknown schedule kind: bogus"):
+        constructor("bogus")
 
 
 @pytest.mark.parametrize("make", [
@@ -136,7 +140,8 @@ def test_check_t_scalar_and_array():
               math.nan, math.inf, np.array([np.nan, 2.0])):
         with pytest.raises(ValueError, match="out of range"):
             check_t(t, s)
-    for t in (2.5, np.float64(2.5), np.array([2.0, 2.5]), [2, 2.5]):
+    for t in (2.5, np.float64(2.5), np.array([2.0, 2.5]), [2, 2.5],
+              None, "1", ["a"], object()):  # these raised TypeError, not ValueError
         with pytest.raises(ValueError, match="integer-valued"):
             check_t(t, s)
     # the step index comes back as an int, or as an int64 array
