@@ -70,8 +70,8 @@ def _unused(args, why, *dests):
 def _schedule_from(args):
     kind = args.schedule or "linear"
     make, names = schedules.constructor(kind)
-    _unused(args, f"to a {kind} schedule", *(d for k in schedules.KINDS
-                                            for d in schedules.constructor(k)[1] if d not in names))
+    others = (d for k in schedules.KINDS for d in schedules.constructor(k)[1] if d not in names)
+    _unused(args, f"to a {kind} schedule", *others)
     given = _given(args, T="T", **{k: k for k in names})
     desk = {"T": 100, "beta_start": 1e-3, "beta_end": 0.2}  # a kind takes the keys it declares
     desk = {k: desk[k] for k in ("T", *names) if k in desk}
@@ -224,7 +224,7 @@ def _cmd_hist(args, rng):
             raise ValueError(f"{args.input}: a data row has no dim0 field")
         except ValueError:
             vals.append(np.nan)
-        if not abs(vals[-1]) < np.inf:  # NaN fails too; np.histogram bins only finite values
+        if not abs(vals[-1]) < np.inf:  # NaN fails too
             raise ValueError(f"{args.input}: dim0 value {fields[col]!r} is not a finite number")
     # numpy's rule: equal-width bins over [min, max], or [v - 0.5, v + 0.5] if all equal v
     counts, edges = np.histogram(vals, bins=args.bins)
