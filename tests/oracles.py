@@ -1,5 +1,6 @@
 """Closed-form references for the tests: noise predictors, a noisy classifier,
-schedule invariants, the DDIM form of the reverse mean and an exact empirical W1.
+schedule invariants, the DDIM form of the reverse mean, an exact empirical W1
+and the variational bound computed one t at a time.
 
 A noise predictor is any object with ``data_dim`` and
 ``predict(x, t, y, sched)``; the samplers and vlb_estimate take these
@@ -7,6 +8,11 @@ wherever they take a trained NoisePredictor.
 """
 
 import numpy as np
+
+from toydiff import forward
+from toydiff.gaussian import DiagGaussian, kl_closed_form, log_pdf
+from toydiff.losses import VlbReport, mu_tilde_from_eps
+from toydiff.schedules import check_count
 
 
 def assert_schedule_invariants(s):
@@ -95,3 +101,33 @@ def exact_w1(a, b):
     mid = (u[:-1] + u[1:]) / 2
     qa, qb = (v[(mid * v.size).astype(np.int64)] for v in (a, b))
     return float(np.sum(np.diff(u) * np.abs(qa - qb)))
+
+
+def vlb_per_t(m, x0, sched, M, rng):
+    """losses.vlb_estimate as one draw, one posterior and one KL per t: the same
+    stream and the same arithmetic, so a version that hoists them must match it
+    byte for byte."""
+    check_count(M, 1, "M")
+    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+    if not np.all(np.isfinite(x0)):  # before any draw
+        raise ValueError("x0 must be finite")
+    x0s = np.tile(x0, M)  # the M draws side by side, flattened in C order
+
+    def mu_p(x_t, t):
+        eps = np.reshape(m.predict(x_t.reshape(M, -1), t, None, sched), -1)
+        return mu_tilde_from_eps(x_t, eps, t, sched)
+
+    Lt = np.zeros(max(sched.T - 1, 0))
+    for t in range(2, sched.T + 1):
+        x_t, _ = forward.sample_xt(x0s, t, sched, rng)
+        post = forward.posterior_q(x_t, x0s, t, sched)  # the model's kernel shares its variance
+        Lt[t - 2] = kl_closed_form(post, DiagGaussian(mu_p(x_t, t), post.var)) / M
+
+    x1, _ = forward.sample_xt(x0s, 1, sched, rng)
+    x0_hat = mu_p(x1, 1)
+    dec = DiagGaussian(x0_hat, np.full_like(x0_hat, sched.beta[1]))
+    L0 = -float(log_pdf(dec, x0s)) / M
+
+    LT = kl_closed_form(forward.marginal_q(x0, sched.T, sched),
+                        DiagGaussian(np.zeros_like(x0), np.ones_like(x0)))
+    return VlbReport(L0=L0, Lt=Lt, LT=LT, total=L0 + float(np.sum(Lt)) + LT)

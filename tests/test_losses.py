@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import PointMassOracle
+from oracles import PointMassOracle, vlb_per_t
 
 from toydiff import forward
 from toydiff.forward import posterior_q
@@ -12,7 +12,7 @@ from toydiff.losses import (VlbReport, loss_eps_weighted, loss_x0_weighted,
                             mu_tilde_from_eps, vlb_estimate, x0_from_eps)
 from toydiff.model import init_noise_predictor
 from toydiff.rng import RngState
-from toydiff.schedules import make_linear_schedule
+from toydiff.schedules import make_cosine_schedule, make_linear_schedule
 
 
 def random_schedule(rng):
@@ -217,6 +217,24 @@ def test_vlb_batched_matches_per_draw_reference(M, d):
     assert math.isclose(rep.L0, L0, rel_tol=1e-12)
     assert math.isclose(rep.total, total, rel_tol=1e-12)
     assert rng_a.normal_draws == rng_b.normal_draws == s.T * M * d
+
+
+VLB_SCHEDULES = {"linear1": make_linear_schedule(1), "linear2": make_linear_schedule(2),
+                 "linear1000": make_linear_schedule(1000), "cosine100": make_cosine_schedule(100)}
+
+
+@pytest.mark.parametrize("sched", VLB_SCHEDULES.values(), ids=VLB_SCHEDULES.keys())
+@pytest.mark.parametrize("M", [1, 3, 10, 37])  # numpy's pairwise sum changes path at 8 terms
+@pytest.mark.parametrize("d", [1, 2])
+def test_vlb_matches_the_per_t_loop_byte_for_byte(sched, M, d):
+    m = init_noise_predictor(d, hidden=(8,), rng=RngState(5))
+    x0 = np.linspace(-1.5, 1.0, d)
+    rng_a, rng_b = RngState(9), RngState(9)
+    rep, ref = vlb_estimate(m, x0, sched, M, rng_a), vlb_per_t(m, x0, sched, M, rng_b)
+    for name in ("L0", "Lt", "LT", "total"):
+        a, b = np.asarray(getattr(rep, name)), np.asarray(getattr(ref, name))
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert rng_a.normal_draws == rng_b.normal_draws == sched.T * M * d
 
 
 def test_vlb_prior_term_small_for_long_schedule():
