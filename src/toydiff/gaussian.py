@@ -17,7 +17,8 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class DiagGaussian:
-    """N(mean, diag(var)); a (K, d) mean and var stack K Gaussians for log_pdf."""
+    """N(mean, diag(var)); a (K, d) mean and var stack K Gaussians for log_pdf and
+    kl_closed_form."""
     mean: np.ndarray
     var: np.ndarray
 
@@ -54,14 +55,14 @@ def sample(g, rng, size):
 
 
 def kl_closed_form(q, p):
-    """KL(q || p) for diagonal Gaussians, in nats."""
-    if q.dim != p.dim:
+    """KL(q || p) for diagonal Gaussians, in nats; (K, d) stacks give K KLs."""
+    if q.mean.shape != p.mean.shape:
         raise ValueError("dimension mismatch between q and p")
     if np.any(q.var <= 0.0) or np.any(p.var <= 0.0):
         raise ValueError("kl_closed_form needs strictly positive variances")
-    return 0.5 * (np.sum(np.log(p.var / q.var)) - q.dim
-                  + np.sum(q.var / p.var)
-                  + np.sum((q.mean - p.mean) ** 2 / p.var))
+    return 0.5 * (np.sum(np.log(p.var / q.var), axis=-1) - q.dim
+                  + np.sum(q.var / p.var, axis=-1)
+                  + np.sum((q.mean - p.mean) ** 2 / p.var, axis=-1))
 
 
 def kl_mc(q, p, M, rng):

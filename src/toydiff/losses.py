@@ -88,12 +88,14 @@ def vlb_estimate(m, x0, sched, M, rng):
     (mean from the eps prediction, variance beta_tilde_t).  L0 uses a
     Gaussian decoder N(predicted x0 at t=1, beta_1 I).  LT is the exact
     prior-matching KL.  The noise predictor m sees the M draws as one
-    (M, d) batch and a scalar t.
+    (M, d) batch and a scalar t, so the network still runs once per t.
 
-    Each t takes its M draws as one (M * d,) normal draw, which is the
-    same stream as M successive draws of size d.  The M per-draw Gaussians
-    are independent, so their KLs (and log densities) sum into the KL of
-    the flattened (M * d,) Gaussians.
+    The noise of t = 2..T is one (T - 1, M * d) normal draw, one row per t,
+    which is the same stream as T - 1 successive draws of size M * d, and
+    each of those is the same stream as M draws of size d.  The posteriors
+    and the KLs of all those t are one call each over the rows.  The M
+    per-draw Gaussians are independent, so their KLs (and log densities)
+    sum into the KL of the flattened (M * d,) Gaussians.
     """
     check_count(M, 1, "M")
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
@@ -105,11 +107,14 @@ def vlb_estimate(m, x0, sched, M, rng):
         eps = np.reshape(m.predict(x_t.reshape(M, -1), t, None, sched), -1)
         return mu_tilde_from_eps(x_t, eps, t, sched)
 
-    Lt = np.zeros(max(sched.T - 1, 0))
+    ts = np.arange(2, sched.T + 1)
+    rows = np.broadcast_to(x0s, (ts.size, x0s.size))  # row t - 2 holds the draws at t
+    x_t, _ = forward.sample_xt(rows, ts, sched, rng)
+    post = forward.posterior_q(x_t, rows, ts, sched)
+    mu = np.empty_like(x_t)
     for t in range(2, sched.T + 1):
-        x_t, _ = forward.sample_xt(x0s, t, sched, rng)
-        post = forward.posterior_q(x_t, x0s, t, sched)  # the model's kernel shares its variance
-        Lt[t - 2] = kl_closed_form(post, DiagGaussian(mu_p(x_t, t), post.var)) / M
+        mu[t - 2] = mu_p(x_t[t - 2], t)
+    Lt = kl_closed_form(post, DiagGaussian(mu, post.var)) / M  # the kernel shares post's variance
 
     x1, _ = forward.sample_xt(x0s, 1, sched, rng)
     x0_hat = mu_p(x1, 1)

@@ -7,7 +7,9 @@ hand-derived and verified against finite differences in the test suite.
 
 Input features are the state x concatenated with a 4-feature time encoding
 (t/T, sin(2 pi t/T), cos(2 pi t/T), sqrt(1 - abar_t)) and, for conditional
-models, a one-hot label block with a dedicated null slot.
+models, a one-hot label block with a dedicated null slot.  The time encoding
+of every step is one read-only (T + 1, 4) table per schedule, built on the
+first call with that schedule and indexed by the checked step.
 
 Inference (NoisePredictor.predict, Classifier.log_probs, Classifier.grad_x)
 builds the features of all n rows at once, then runs the MLP over blocks of
@@ -79,6 +81,7 @@ class _Network:
             raise ValueError("params must be finite")
         self.params = params
         self._viewed = self._views = None
+        self._timed = self._times = None
 
     def _layers(self):
         """(W, b) views into self.params, rebuilt only when params is reassigned."""
@@ -86,6 +89,17 @@ class _Network:
             self._views = _layers(self.params, self.widths)
             self._viewed = self.params
         return self._views
+
+    def _time_table(self, sched):
+        """The read-only (T + 1, N_TIME_FEATURES) time encoding of sched, row t for step t,
+        rebuilt only when the schedule changes."""
+        if self._timed is not sched:
+            frac = np.arange(sched.T + 1) / sched.T
+            table = np.stack((frac, np.sin(2.0 * np.pi * frac), np.cos(2.0 * np.pi * frac),
+                              np.sqrt(1.0 - sched.alpha_bar)), axis=1)
+            table.setflags(write=False)
+            self._times, self._timed = table, sched
+        return self._times
 
     def _features(self, x, t, y, sched):
         x = np.asarray(x, dtype=np.float64)
@@ -95,13 +109,9 @@ class _Network:
             raise ValueError("dimension mismatch between x and model")
         n, d = xb.shape
         t = check_t(t, sched)
-        frac = t / sched.T
         feats = np.zeros((n, self.in_features))
         feats[:, :d] = xb
-        feats[:, d] = frac  # the N_TIME_FEATURES time-encoding columns follow x
-        feats[:, d + 1] = np.sin(2.0 * np.pi * frac)
-        feats[:, d + 2] = np.cos(2.0 * np.pi * frac)
-        feats[:, d + 3] = np.sqrt(1.0 - sched.alpha_bar[t])
+        feats[:, d:d + N_TIME_FEATURES] = self._time_table(sched)[t]  # the time encoding follows x
         if self.conditioning is None:
             if y is not None:
                 raise ValueError("unconditional model: y must be None")

@@ -34,8 +34,9 @@ class RngState:
         return RngState(self.seed, stream)
 
     def standard_normal(self, size=None):
-        self.normal_draws += 1 if size is None else int(np.prod(size))
-        return self._gen.standard_normal(size)
+        z = self._gen.standard_normal(size)
+        self.normal_draws += 1 if size is None else z.size
+        return z
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size)
