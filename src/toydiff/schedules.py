@@ -72,8 +72,8 @@ def make_cosine_schedule(T, offset=0.008):
     identity alpha_bar_t = alpha_bar_{t-1} * alpha_t holds exactly.
     """
     T = check_count(T, 1, "T")
-    if not offset > 0.0:
-        raise ValueError("offset: must be > 0")
+    if not 0.0 < offset < np.inf:  # NaN fails too; inf would turn every beta_t NaN
+        raise ValueError("offset: must be finite and > 0")
     t = np.arange(T + 1, dtype=np.float64)
     f = np.cos(((t / T + offset) / (1.0 + offset)) * (np.pi / 2.0)) ** 2
     abar = f / f[0]

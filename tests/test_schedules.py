@@ -7,6 +7,7 @@ import pytest
 
 from oracles import assert_schedule_invariants
 
+from toydiff import schedules
 from toydiff.forward import forward_step, marginal_q, posterior_q, sample_xt
 from toydiff.gaussian import DiagGaussian
 from toydiff.losses import (eps_kl_weight, loss_eps_weighted, loss_x0_weighted,
@@ -81,10 +82,11 @@ def test_cosine_validation_errors():
         make_cosine_schedule(0, 0.008)
     with pytest.raises(ValueError):
         make_cosine_schedule(10, 0.0)
-    with pytest.raises(ValueError, match="offset"):
-        make_cosine_schedule(10, float("nan"))
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="every beta_t"):
-        make_cosine_schedule(10, math.inf)  # passes the offset check; every beta_t is NaN
+    for bad in (math.nan, math.inf, -math.inf):  # inf used to reach numpy and warn
+        with pytest.raises(ValueError, match="offset: must be finite and > 0"):
+            make_cosine_schedule(10, bad)
+    with pytest.raises(ValueError, match="every beta_t"):  # no public kind reaches it
+        schedules._build(3, [0.1, math.nan, 0.2], "linear", {})
     with pytest.raises(ValueError, match="unknown schedule kind: bogus"):
         constructor("bogus")
 
