@@ -83,11 +83,6 @@ def forward_step(x_prev, t, sched, rng):
     return np.sqrt(sched.alpha[t]) * x_prev + np.sqrt(sched.beta[t]) * z
 
 
-def _per_row(t):
-    """A checked step index as a column when it is an array, so it holds one step per row."""
-    return t[:, None] if np.ndim(t) else t
-
-
 def marginal_q(x0, t, sched):
     """Closed-form q(x_t | x_0) = N(sqrt(abar_t) x0, (1 - abar_t) I).
 
@@ -105,10 +100,11 @@ def sample_xt(x0, t, sched, rng):
     The pair satisfies x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps exactly.
     An array t, as the training loop passes, holds one step per row of x0.
     """
-    t = _per_row(check_t(t, sched))
+    t = check_t(t, sched)
     x0 = np.asarray(x0, dtype=np.float64)
     eps = rng.standard_normal(x0.shape)
     ab = sched.alpha_bar[t]
+    ab = ab[:, None] if ab.ndim else ab
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps, eps
 
 
@@ -118,7 +114,8 @@ def posterior_q(x_t, x0, t, sched):
     At t = 1 this collapses to the point mass at x0.  An array t, as
     vlb_estimate passes, holds one step per row of x_t and x0.
     """
-    t = _per_row(check_t(t, sched))
+    t = check_t(t, sched)
+    t = t[:, None] if np.ndim(t) else t  # a column: every coefficient below is one per row
     x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     ab_prev, ab = sched.alpha_bar[t - 1], sched.alpha_bar[t]

@@ -17,8 +17,7 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class DiagGaussian:
-    """N(mean, diag(var)); a (K, d) mean and var stack K Gaussians for log_pdf and
-    kl_closed_form."""
+    """N(mean, diag(var)); a (K, d) mean and var stack K Gaussians for log_pdf and the KL."""
     mean: np.ndarray
     var: np.ndarray
 

@@ -90,10 +90,9 @@ def vlb_estimate(m, x0, sched, M, rng):
     prior-matching KL.  The noise predictor m sees the M draws as one
     (M, d) batch and a scalar t, so the network still runs once per t.
 
-    The noise of t = 2..T is one (T - 1, M * d) normal draw, one row per t,
-    which is the same stream as T - 1 successive draws of size M * d, and
-    each of those is the same stream as M draws of size d.  The posteriors
-    and the KLs of all those t are one call each over the rows.  The M
+    The noise of t = 2..T is one (T - 1, M * d) normal draw, one row per t:
+    the same stream as one (M * d,) draw per t, or M draws of size d.  The
+    posteriors and KLs of those t are one call each over the rows.  The M
     per-draw Gaussians are independent, so their KLs (and log densities)
     sum into the KL of the flattened (M * d,) Gaussians.
     """
@@ -111,9 +110,7 @@ def vlb_estimate(m, x0, sched, M, rng):
     rows = np.broadcast_to(x0s, (ts.size, x0s.size))  # row t - 2 holds the draws at t
     x_t, _ = forward.sample_xt(rows, ts, sched, rng)
     post = forward.posterior_q(x_t, rows, ts, sched)
-    mu = np.empty_like(x_t)
-    for t in range(2, sched.T + 1):
-        mu[t - 2] = mu_p(x_t[t - 2], t)
+    mu = np.reshape([mu_p(x, t) for t, x in enumerate(x_t, start=2)], x_t.shape)  # T = 1: no rows
     Lt = kl_closed_form(post, DiagGaussian(mu, post.var)) / M  # the kernel shares post's variance
 
     x1, _ = forward.sample_xt(x0s, 1, sched, rng)

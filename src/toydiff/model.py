@@ -91,8 +91,7 @@ class _Network:
         return self._views
 
     def _time_table(self, sched):
-        """The read-only (T + 1, N_TIME_FEATURES) time encoding of sched, row t for step t,
-        rebuilt only when the schedule changes."""
+        """The read-only time encoding of sched, row t for step t, rebuilt when sched changes."""
         if self._timed is not sched:
             frac = np.arange(sched.T + 1) / sched.T
             table = np.stack((frac, np.sin(2.0 * np.pi * frac), np.cos(2.0 * np.pi * frac),

@@ -44,19 +44,19 @@ def save_checkpoint(m, sched, path, seed_note=""):
         fh.write("\n".join(lines) + "\n")
 
 
-def _int(key, value):
-    """int(value) for the checkpoint value of key; a ValueError names both otherwise."""
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"checkpoint {key}={value!r}: not an integer") from None
-
-
 class _Meta(dict):
     """Checkpoint key=value pairs; a missing required key is a ValueError."""
 
     def __missing__(self, key):
         raise ValueError(f"checkpoint is missing the key {key!r}")
+
+    def integer(self, key, value=None):
+        """int(value), self[key] by default; a ValueError that names the key and the value."""
+        value = self[key] if value is None else value
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"checkpoint {key}={value!r}: not an integer") from None
 
 
 def load_checkpoint(path):
@@ -77,29 +77,28 @@ def load_checkpoint(path):
                 meta[k] = v
         except ValueError:
             raise ValueError(f"checkpoint parse error at line {i}: {line!r}")
-    if _int("version", meta.get("version", -1)) != FORMAT_VERSION:
+    if meta.integer("version", meta.get("version", -1)) != FORMAT_VERSION:
         raise ValueError(f"unknown checkpoint version: {meta.get('version')}")
-    n = _int("n_params", meta["n_params"])
+    n = meta.integer("n_params")
     if len(params) != n:
         raise ValueError(f"checkpoint truncated: expected {n} parameters, "
                          f"got {len(params)} (file ends at line {len(raw)})")
 
     make, names = schedules.constructor(meta["schedule_kind"])
-    sched = make(_int("schedule_T", meta["schedule_T"]),
-                 **{k: float(meta[f"schedule_{k}"]) for k in names})
+    sched = make(meta.integer("schedule_T"), **{k: float(meta[f"schedule_{k}"]) for k in names})
 
-    hidden = tuple(_int("hidden", w) for w in meta["hidden"].split(",")) if meta["hidden"] else ()
+    widths = meta["hidden"].split(",") if meta["hidden"] else ()
+    hidden = tuple(meta.integer("hidden", w) for w in widths)
     p = np.asarray(params)
     if meta["kind"] == "classifier":
-        m = Classifier(_int("data_dim", meta["data_dim"]), hidden,
-                       _int("n_classes", meta["n_classes"]), p)
+        m = Classifier(meta.integer("data_dim"), hidden, meta.integer("n_classes"), p)
     elif meta["kind"] == "noise_predictor":
         if meta["skip"] != "1":
             raise ValueError(f"unsupported checkpoint skip={meta['skip']}: "
                              "the noise predictor always has skip=1")
         cond = meta["conditioning"]
-        m = NoisePredictor(_int("data_dim", meta["data_dim"]), hidden,
-                           None if cond == "none" else _int("conditioning", cond), p)
+        m = NoisePredictor(meta.integer("data_dim"), hidden,
+                           None if cond == "none" else meta.integer("conditioning"), p)
     else:
         raise ValueError(f"unknown checkpoint kind: {meta['kind']}")
     return m, sched

@@ -119,6 +119,19 @@ def test_sample_xt_moments():
     assert abs(xt.var(ddof=1) - g.var[0]) < 4 * g.var[0] * math.sqrt(2.0 / n)
 
 
+def test_posterior_q_array_t_equals_row_by_row_scalar_calls():
+    s = make_linear_schedule(50, 1e-4, 0.02)
+    g = np.random.default_rng(2)
+    x_t, x0 = g.normal(size=(6, 3)), g.normal(size=(6, 3))
+    t = np.array([1, 50, 17, 17, 2, 29])
+    post = posterior_q(x_t, x0, t, s)
+    rows = [posterior_q(x_t[i], x0[i], int(t[i]), s) for i in range(len(t))]
+    assert post.mean.tobytes() == np.stack([r.mean for r in rows]).tobytes()
+    assert post.var.tobytes() == np.stack([r.var for r in rows]).tobytes()
+    with pytest.raises(ValueError):
+        posterior_q(x_t, x0, np.array([1, 2, 3, 51, 4, 5]), s)
+
+
 def test_posterior_q_point_mass_at_t1():
     s = make_linear_schedule(5, 0.1, 0.2)
     g = posterior_q([0.9], [1.0], 1, s)

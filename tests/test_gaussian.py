@@ -55,7 +55,8 @@ def test_gaussian_and_kl_reject_mismatched_shapes_and_zero_variance():
     with pytest.raises(ValueError, match="same dimension"):
         DiagGaussian([0.0, 1.0], [1.0])
     one, two = DiagGaussian([0.0], [1.0]), DiagGaussian([0.0, 0.0], [1.0, 1.0])
-    for q, p in ((one, two), (two, one)):
+    stack = DiagGaussian(np.zeros((3, 1)), np.ones((3, 1)))  # 3 rows would broadcast over one
+    for q, p in ((one, two), (two, one), (one, stack), (stack, one)):
         with pytest.raises(ValueError, match="dimension mismatch between q and p"):
             kl_closed_form(q, p)
     point = DiagGaussian([0.0], [0.0])  # a valid Gaussian, but no KL in closed form
@@ -115,6 +116,19 @@ def test_kl_closed_form_decreases_when_variances_match():
         q, DiagGaussian([0.0], [4.0])) + 0.5  # sanity; exact check below
     # matching p's variance to q removes the variance penalty terms
     assert np.isclose(kl_closed_form(q, DiagGaussian([0.0], [1.0])), 0.5, rtol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 3, 10])  # numpy's pairwise sum changes path at 8 terms
+def test_kl_closed_form_of_a_stack_equals_one_call_per_row(d):
+    g = np.random.default_rng(4)
+    K = 7
+    q = DiagGaussian(g.normal(size=(K, d)), g.uniform(0.1, 3.0, size=(K, d)))
+    p = DiagGaussian(g.normal(size=(K, d)), g.uniform(0.1, 3.0, size=(K, d)))
+    kl = kl_closed_form(q, p)
+    rows = [kl_closed_form(DiagGaussian(q.mean[k], q.var[k]), DiagGaussian(p.mean[k], p.var[k]))
+            for k in range(K)]
+    assert kl.shape == (K,) and kl.tobytes() == np.array(rows).tobytes()
+    assert np.ndim(rows[0]) == 0  # one Gaussian still gives a scalar
 
 
 def test_kl_closed_form_nonnegative_randomized():

@@ -12,7 +12,7 @@ from toydiff.model import (ROWS, Classifier, NoisePredictor, _layers, _log_softm
                            init_classifier, init_noise_predictor)
 from toydiff.rng import RngState
 from toydiff.samplers import SamplerConfig, sample_reverse
-from toydiff.schedules import make_linear_schedule
+from toydiff.schedules import make_cosine_schedule, make_linear_schedule
 from toydiff.training import TrainConfig, train
 
 SCHED = make_linear_schedule(100, 1e-3, 0.2)
@@ -90,6 +90,34 @@ def test_scalar_t_features_equal_array_t_rows(cond, n):
         for t in (bad, np.full(n, bad), [1] * (n - 1) + [bad]):
             with pytest.raises(ValueError):
                 m._features(x, t, None, SCHED)
+
+
+@pytest.mark.parametrize("sched", [SCHED, make_cosine_schedule(7)], ids=["linear100", "cosine7"])
+def test_time_table_is_the_per_step_encoding_and_read_only(sched):
+    m = init_noise_predictor(1, hidden=(4,), rng=RngState(0))
+    table = m._time_table(sched)
+    for t in range(sched.T + 1):  # the scalar formula, one t at a time
+        frac = t / sched.T
+        row = [frac, np.sin(2.0 * np.pi * frac), np.cos(2.0 * np.pi * frac),
+               np.sqrt(1.0 - sched.alpha_bar[t])]
+        assert table[t].tobytes() == np.array(row).tobytes()
+    assert m._time_table(sched) is table  # built once per schedule
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[1, 0] = 0.0
+
+
+def test_one_network_on_two_schedules_gives_the_bytes_of_fresh_networks():
+    a, b = SCHED, make_cosine_schedule(SCHED.T)  # the same T: only the schedule tells them apart
+    m = init_noise_predictor(1, hidden=(8,), conditioning=2, rng=RngState(7))
+    x = np.random.default_rng(8).normal(size=(5, 1))
+    t_rows = np.array([1, 30, 30, 77, 100])
+    for sched in (a, b, a):
+        fresh = NoisePredictor(1, (8,), 2, m.params)
+        for t in (30, t_rows):
+            got = m.predict(x, t, 1, sched)
+            assert got.tobytes() == fresh.predict(x, t, 1, sched).tobytes()
+        assert not np.array_equal(got, m.predict(x, t_rows, 1, b if sched is a else a))
 
 
 def test_predict_deterministic_and_shaped():

@@ -198,6 +198,30 @@ def test_checkpoint_of_unknown_kind_is_rejected(tmp_path, capsys, line, edited, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, bad, named", [
+    ("version", "1.0", "1.0"), ("n_params", "x29", "x29"), ("schedule_T", "ten", "ten"),
+    ("data_dim", "one", "one"), ("hidden", "4,a", "a"), ("n_classes", "two", "two"),
+    ("conditioning", "2.5", "2.5"),
+])
+def test_checkpoint_non_integer_header_names_its_key_and_value(tmp_path, capsys, key, bad, named):
+    net = (init_classifier(1, 2, hidden=(4,), rng=RngState(6)) if key == "n_classes"
+           else init_noise_predictor(1, hidden=(4,), conditioning=2, rng=RngState(6)))
+    path = tmp_path / "h.ckpt"
+    save_checkpoint(net, SCHED, path)
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"{key}="))
+    lines[i] = f"{key}={bad}"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"checkpoint {key}={named!r}: not an integer"
+    with pytest.raises(ValueError) as e:
+        load_checkpoint(path)
+    assert str(e.value) == message
+    out = tmp_path / "v.csv"
+    assert run2(["vlb", "--seed", 0, "--checkpoint", path, "--x0", 0.5, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def train_small(tmp_path, name, extra=()):
     out = tmp_path / name
     rc = run2(["train", "--seed", 11, "--desk", "--steps", 50,
@@ -436,6 +460,7 @@ def _bad_input(tmp_path, case):
         "forward-cosine-beta-start": [*forward, "--schedule", "cosine", "--beta-start", 0.5],
         "forward-cosine-beta-end": [*forward, "--schedule", "cosine", "--beta-end", 0.5],
         "forward-linear-offset": [*forward, "--offset", 0.1],
+        "forward-cosine-offset-inf": [*forward, "--schedule", "cosine", "--offset", "inf"],
         "forward-desk-cosine-T": [*forward, "--desk", "--schedule", "cosine"],
         "train-desk-all-given": [*train, "--T", 50, "--beta-start", 0.01, "--beta-end", 0.1],
         "kl-q-nan": ["kl-demo", "--seed", 0, "--q", "1,nan", "--p", "0,4", "--M", 10],
@@ -513,6 +538,7 @@ def _bad_input(tmp_path, case):
     ("forward-cosine-beta-start", 1, "--beta-start does not apply to a cosine schedule"),
     ("forward-cosine-beta-end", 1, "--beta-end does not apply to a cosine schedule"),
     ("forward-linear-offset", 1, "--offset does not apply to a linear schedule"),
+    ("forward-cosine-offset-inf", 2, "offset: must be finite and > 0"),
     ("forward-desk-cosine-T", 1, "--desk does not apply when every value of its profile"),
     ("train-desk-all-given", 1, "--desk does not apply when every value of its profile"),
     ("config-desk-all-given", 1, "--desk does not apply when every value of its profile"),

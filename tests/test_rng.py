@@ -31,8 +31,13 @@ def test_normal_draw_counter():
     assert r.normal_draws == 12
     r.standard_normal(5)
     assert r.normal_draws == 17
+    r.standard_normal()  # size None: one value
+    assert r.normal_draws == 18
+    r.standard_normal((3, 0))
+    r.standard_normal((0,))
+    assert r.normal_draws == 18
     r.uniform(0.0, 1.0, 10)  # uniforms do not count as normal draws
-    assert r.normal_draws == 17
+    assert r.normal_draws == 18
 
 
 def test_standard_normal_moments():
