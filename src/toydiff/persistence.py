@@ -77,8 +77,8 @@ def load_checkpoint(path):
                 meta[k] = v
         except ValueError:
             raise ValueError(f"checkpoint parse error at line {i}: {line!r}")
-    if meta.integer("version", meta.get("version", -1)) != FORMAT_VERSION:
-        raise ValueError(f"unknown checkpoint version: {meta.get('version')}")
+    if meta.integer("version") != FORMAT_VERSION:
+        raise ValueError(f"unknown checkpoint version: {meta['version']}")
     n = meta.integer("n_params")
     if len(params) != n:
         raise ValueError(f"checkpoint truncated: expected {n} parameters, "

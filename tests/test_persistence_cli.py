@@ -183,7 +183,8 @@ def test_cli_missing_checkpoint_exit_2(tmp_path, capsys):
     ("kind=noise_predictor", "kind=bogus", "unknown checkpoint kind: bogus"),
     ("skip=1", "skip=0", "unsupported checkpoint skip=0"),
     ("skip=1", None, "missing the key 'skip'"),
-], ids=["kind=bogus", "skip=0", "no-skip-line"])
+    ("version=1", None, "missing the key 'version'"),
+], ids=["kind=bogus", "skip=0", "no-skip-line", "no-version-line"])
 def test_checkpoint_of_unknown_kind_is_rejected(tmp_path, capsys, line, edited, message):
     path = tmp_path / "k.ckpt"
     save_checkpoint(init_noise_predictor(1, hidden=(4,), rng=RngState(6)), SCHED, path)
