@@ -1,6 +1,7 @@
 """Closed-form references for the tests: noise predictors, a noisy classifier,
-schedule invariants, the DDIM form of the reverse mean, an exact empirical W1
-and the variational bound computed one t at a time.
+schedule invariants, the DDIM form of the reverse mean, an exact empirical W1,
+the variational bound computed one t at a time and the index check that tests
+every entry.
 
 A noise predictor is any object with ``data_dim`` and
 ``predict(x, t, y, sched)``; the samplers and vlb_estimate take these
@@ -13,6 +14,18 @@ from toydiff import forward
 from toydiff.gaussian import DiagGaussian, kl_closed_form, log_pdf
 from toydiff.losses import VlbReport, mu_tilde_from_eps
 from toydiff.schedules import check_count
+
+
+def check_index_reference(v, lo, hi, name):
+    """schedules.check_index as it tested every entry of every array kind: the
+    faster check must return the same int or int64 array, or raise the same error."""
+    if not isinstance(v, (int, float, np.number)):
+        v = np.asarray(v)
+        if v.dtype.kind in "biuf" and np.all((lo <= v) & (v <= hi)) and not np.any(v % 1):
+            return v.astype(np.int64, copy=False) if v.ndim else int(v)
+    elif lo <= v <= hi and v == int(v):
+        return int(v)
+    raise ValueError(f"{name} {v} out of range [{lo}, {hi}] or not integer-valued")
 
 
 def assert_schedule_invariants(s):

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import assert_schedule_invariants
+from oracles import assert_schedule_invariants, check_index_reference
 
 from toydiff import schedules
 from toydiff.forward import forward_step, marginal_q, posterior_q, sample_xt
@@ -15,7 +15,8 @@ from toydiff.losses import (eps_kl_weight, loss_eps_weighted, loss_x0_weighted,
 from toydiff.model import init_noise_predictor
 from toydiff.rng import RngState
 from toydiff.samplers import ddim_sigma_ddpm_equiv, ddim_step, ddpm_step
-from toydiff.schedules import check_t, constructor, make_cosine_schedule, make_linear_schedule
+from toydiff.schedules import (NO_MAX, check_index, check_t, constructor, make_cosine_schedule,
+                               make_linear_schedule)
 
 
 @pytest.mark.parametrize("kind, T", [("linear", 1), ("linear", 2), ("linear", 100),
@@ -152,6 +153,50 @@ def test_check_t_scalar_and_array():
     for t in ([1, 5], np.array([1.0, 5.0]), np.array([1, 5], dtype=np.int32)):
         idx = check_t(t, s)
         assert idx.dtype == np.int64 and np.array_equal(idx, [1, 5])
+
+
+def _index_outcome(check, v, lo, hi):
+    """What check(v, lo, hi) gives: the int, or the array's type, dtype, shape and
+    bytes, or the error it raises (a warning is raised as one)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = check(v, lo, hi, "idx")
+    except (ValueError, RuntimeWarning) as e:
+        return type(e), str(e)
+    if isinstance(r, int):
+        return type(r), r
+    return type(r), r.dtype, r.shape, r.tobytes()
+
+
+def _index_inputs(lo, hi):
+    """Arrays of every kind check_index takes, at lo - 1, lo, hi, hi + 1, NO_MAX and
+    2**64 - 1 where the dtype holds them, alone, beside an in-range entry, as 0-d
+    arrays and as scalars; floats at 2.5, NaN and +-inf too; empty arrays of each kind."""
+    probes = (lo - 1, lo, hi, hi + 1, NO_MAX, 2**64 - 1)
+    for dtype in (np.bool_, np.int8, np.int64, np.uint8, np.uint64, np.float64):
+        yield np.array([], dtype=dtype)
+        if dtype is np.float64:
+            values = [float(x) for x in probes] + [2.5, math.nan, math.inf, -math.inf]
+        else:
+            info = (0, 1) if dtype is np.bool_ else (np.iinfo(dtype).min, np.iinfo(dtype).max)
+            values = [x for x in probes if info[0] <= x <= info[1]]
+        if not values:
+            continue
+        yield np.array(values, dtype=dtype)
+        for x in values:
+            yield np.array([x], dtype=dtype)
+            yield np.array(x, dtype=dtype)
+            yield dtype(x)
+            yield x
+            yield np.array([[max(lo, 0), x]], dtype=dtype)  # beside an in-range entry
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 100), (2, 1000), (-1, 1), (0, 2), (0, NO_MAX)])
+def test_check_index_matches_the_every_entry_reference(lo, hi):
+    for v in _index_inputs(lo, hi):
+        assert _index_outcome(check_index, v, lo, hi) == \
+            _index_outcome(check_index_reference, v, lo, hi), repr(v)
 
 
 S5 = make_linear_schedule(5, 0.1, 0.2)

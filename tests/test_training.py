@@ -4,7 +4,8 @@ import pytest
 from toydiff.forward import default_mixture, gmm_sample
 from toydiff.model import init_classifier, init_noise_predictor
 from toydiff.rng import RngState
-from toydiff.schedules import make_linear_schedule
+from toydiff.losses import eps_kl_weight
+from toydiff.schedules import make_cosine_schedule, make_linear_schedule
 from toydiff.training import TrainConfig, train, train_classifier
 
 SCHED = make_linear_schedule(100, 1e-3, 0.2)
@@ -205,6 +206,25 @@ def test_weighted_train_matches_reference_loop(conditioning):
     assert np.array_equal(m.params, ref.params)
     assert report.loss_curve == ref_curve
     assert rng.normal_draws == ref_rng.normal_draws
+
+
+@pytest.mark.parametrize("sched", [SCHED, make_cosine_schedule(1000)], ids=["desk", "cosine"])
+def test_weighted_train_reads_the_scalar_weight_of_every_t(sched):
+    # every t that train draws gets eps_kl_weight(max(t, 2)) of its own, bit for bit
+    m = init_noise_predictor(1, hidden=(4,), rng=RngState(24))
+    seen, loss_and_grad = {}, m.loss_and_grad
+
+    def recording(x_t, t, y, eps, sched, weights=None):
+        for ti, wi in zip(t.tolist(), weights.tolist()):
+            assert seen.setdefault(ti, wi) == wi
+        return loss_and_grad(x_t, t, y, eps, sched, weights)
+
+    m.loss_and_grad = recording
+    cfg = TrainConfig(steps=12, batch_size=1000, eta=0.0, loss_variant="weighted")
+    train(m, DATA, sched, cfg, RngState(25))
+    assert sorted(seen) == list(range(1, sched.T + 1))  # every row of the table was read
+    for t, w in seen.items():
+        assert w == eps_kl_weight(max(t, 2), sched)
 
 
 def test_loss_and_grad_unit_weights_are_bitwise_unweighted():
