@@ -139,8 +139,9 @@ class _Network:
     def _backward(self, acts, d_out, param_grad=True):
         """Backprop d_out through the cached pass; overwrites the hidden activations.
 
-        Returns (flat parameter gradient, gradient w.r.t. the feature row).
-        With param_grad False the parameter gradient is skipped and returned as None.
+        With param_grad True returns (flat parameter gradient, None): the pass stops
+        before the first layer's input gradient, which no training caller reads.
+        With param_grad False returns (None, gradient w.r.t. the feature rows).
         """
         layers = self._layers()
         flat = np.empty(self.n_params) if param_grad else None
@@ -151,6 +152,8 @@ class _Network:
                 gW, gb = grads[i]
                 np.matmul(acts[i].T, delta, out=gW)
                 np.sum(delta, axis=0, out=gb)
+                if i == 0:
+                    return flat, None
             delta = delta @ layers[i][0].T
             if i > 0:  # tanh', written over the activation it was computed from
                 delta *= np.subtract(1.0, np.square(acts[i], out=acts[i]), out=acts[i])
@@ -205,14 +208,18 @@ class NoisePredictor(_Network):
         feats, _ = self._features(x_t, t, y, sched)
         if feats.shape[0] != n or eps.shape[1] != self.data_dim:
             raise ValueError("batch shape mismatch")
-        w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise ValueError("weights must hold one value per batch row")
+        if weights is not None:
+            w = np.asarray(weights, dtype=np.float64)
+            if w.shape != (n,):
+                raise ValueError("weights must hold one value per batch row")
         out, acts = self._forward(feats)
         resid = out + self._baseline(feats) - eps
-        loss = float(np.mean(w * np.sum(resid ** 2, axis=1)))
-        grad, _ = self._backward(acts, 2.0 * w[:, None] * resid / n)
-        return loss, grad
+        sq = np.sum(resid ** 2, axis=1)
+        d_out = 2.0 * resid  # unit weights multiply by 1.0 exactly, so they are skipped
+        if weights is not None:
+            sq, d_out = w * sq, 2.0 * w[:, None] * resid
+        grad, _ = self._backward(acts, d_out / n)
+        return float(np.mean(sq)), grad
 
 
 class Classifier(_Network):

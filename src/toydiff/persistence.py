@@ -52,11 +52,18 @@ class _Meta(dict):
 
     def integer(self, key, value=None):
         """int(value), self[key] by default; a ValueError that names the key and the value."""
+        return self._read(int, "an integer", key, value)
+
+    def real(self, key):
+        """float(self[key]); a ValueError that names the key and the value."""
+        return self._read(float, "a float", key, None)
+
+    def _read(self, cast, what, key, value):
         value = self[key] if value is None else value
         try:
-            return int(value)
+            return cast(value)
         except ValueError:
-            raise ValueError(f"checkpoint {key}={value!r}: not an integer") from None
+            raise ValueError(f"checkpoint {key}={value!r}: not {what}") from None
 
 
 def load_checkpoint(path):
@@ -85,7 +92,7 @@ def load_checkpoint(path):
                          f"got {len(params)} (file ends at line {len(raw)})")
 
     make, names = schedules.constructor(meta["schedule_kind"])
-    sched = make(meta.integer("schedule_T"), **{k: float(meta[f"schedule_{k}"]) for k in names})
+    sched = make(meta.integer("schedule_T"), **{k: meta.real(f"schedule_{k}") for k in names})
 
     widths = meta["hidden"].split(",") if meta["hidden"] else ()
     hidden = tuple(meta.integer("hidden", w) for w in widths)

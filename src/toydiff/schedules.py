@@ -92,10 +92,16 @@ def constructor(kind):
 
 def check_index(v, lo, hi, name):
     """The index v as an int (scalar v) or an int64 array; ValueError unless every entry
-    is an integer value in [lo, hi], where hi is finite so that NaN and inf fail."""
+    is an integer value in [lo, hi], where hi is finite so that NaN and inf fail.
+
+    An integer or bool array is in range when its min and max are (an empty one always
+    is); only a float array pays for the per-entry range and integer-value tests.
+    """
     if not isinstance(v, (int, float, np.number)):  # a 0-d array compares ~20x slower
         v = np.asarray(v)
-        if v.dtype.kind in "biuf" and np.all((lo <= v) & (v <= hi)) and not np.any(v % 1):
+        kind = v.dtype.kind
+        if (kind in "biu" and (not v.size or lo <= v.min() and v.max() <= hi)
+                or kind == "f" and np.all((lo <= v) & (v <= hi)) and not np.any(v % 1)):
             return v.astype(np.int64, copy=False) if v.ndim else int(v)
     elif lo <= v <= hi and v == int(v):
         return int(v)

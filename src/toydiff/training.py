@@ -31,8 +31,8 @@ class TrainConfig:
         check_count(self.steps, 0, "steps")
         check_count(self.batch_size, 1, "batch_size")
         check_count(self.eval_interval, 1, "eval_interval")
-        if not self.eta >= 0.0:  # NaN fails too
-            raise ValueError("eta must be >= 0")
+        if not 0.0 <= self.eta < np.inf:  # NaN fails too
+            raise ValueError("eta must be finite and >= 0")
         if not 0.0 <= self.p_drop <= 1.0:
             raise ValueError("p_drop must lie in [0, 1]")
         if self.loss_variant not in ("simple", "weighted"):
@@ -56,14 +56,16 @@ def train(m, data, sched, cfg, rng):
     conditional = m.conditioning is not None
     if conditional and data.labels is None:
         raise ValueError("conditional training needs labelled data")
-    weighted = cfg.loss_variant == "weighted"
+    # row t holds the weight of step t, built once; t = 1 (beta_tilde = 0) gets the
+    # t = 2 weight, so every uniform draw is defined
+    weights = (losses.eps_kl_weight(np.maximum(np.arange(sched.T + 1), 2), sched)
+               if cfg.loss_variant == "weighted" else None)
 
     def objective(x_t, t_arr, labels, eps):
         if conditional:
             labels = labels.copy()
             labels[rng.uniform(size=cfg.batch_size) < cfg.p_drop] = -1  # null label
-        # t = 1 (beta_tilde = 0) gets the t = 2 weight, so every uniform draw is defined
-        w = losses.eps_kl_weight(np.maximum(t_arr, 2), sched) if weighted else None
+        w = None if weights is None else weights[t_arr]
         return m.loss_and_grad(x_t, t_arr, labels if conditional else None, eps, sched, w)
 
     return _sgd(m, objective, data, sched, cfg, rng)
@@ -84,21 +86,25 @@ def _sgd(net, objective, data, sched, cfg, rng):
     uniform t per sample and the noise eps.  ``objective(x_t, t, labels,
     eps)`` may draw further (train's conditional label drop) and returns
     (loss, parameter gradient); the step is net.params -= eta * gradient.
+    A diverging run overflows without a warning and stops at the first
+    nonfinite loss with a FloatingPointError.
     """
     curve, acc, t0 = [], [], time.perf_counter()
-    for step in range(1, cfg.steps + 1):
-        x0, labels = forward.gmm_sample(data, rng, size=cfg.batch_size)
-        t_arr = rng.integers(1, sched.T + 1, size=cfg.batch_size)
-        x_t, eps = forward.sample_xt(x0, t_arr, sched, rng)
-        loss, grad = objective(x_t, t_arr, labels, eps)
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"nonfinite loss at step {step}: {loss}")
-        net.params -= cfg.eta * grad  # in place: keeps the net's cached layer views
-        acc.append(loss)
-        if step % cfg.eval_interval == 0 or step == cfg.steps:
-            curve.append((step, float(np.mean(acc))))
-            acc = []
+    with np.errstate(over="ignore", invalid="ignore"):  # entered once, not once per step
+        for step in range(1, cfg.steps + 1):
+            x0, labels = forward.gmm_sample(data, rng, size=cfg.batch_size)
+            t_arr = rng.integers(1, sched.T + 1, size=cfg.batch_size)
+            x_t, eps = forward.sample_xt(x0, t_arr, sched, rng)
+            loss, grad = objective(x_t, t_arr, labels, eps)
+            if not np.isfinite(loss):
+                raise FloatingPointError(f"nonfinite loss at step {step}: {loss}")
+            net.params -= cfg.eta * grad  # in place: keeps the net's cached layer views
+            acc.append(loss)
+            if step % cfg.eval_interval == 0 or step == cfg.steps:
+                curve.append((step, float(np.mean(acc))))
+                acc = []
+        checksum = float(np.sum(net.params))
     if not curve:
         curve = [(0, float("nan"))]
-    return TrainReport(loss_curve=curve, final_checksum=float(np.sum(net.params)),
+    return TrainReport(loss_curve=curve, final_checksum=checksum,
                        seconds=time.perf_counter() - t0)

@@ -389,6 +389,15 @@ def test_lean_passes_bit_identical_to_allocating_passes(n, cond):
         assert same(c.nll_and_grad(x, tt, labels, SCHED), old_c.nll_and_grad(x, tt, labels, SCHED))
 
 
+def test_parameter_backward_returns_no_input_gradient():
+    # no training caller reads the first layer's input gradient, so it is not computed
+    m = init_noise_predictor(1, hidden=(8, 8), conditioning=2, rng=RngState(19))
+    feats, _ = m._features(np.array([[0.4], [-1.1]]), np.array([3, 50]), [0, -1], SCHED)
+    _, acts = m._forward(feats)
+    flat, d_feats = m._backward(acts, np.ones((2, 1)), param_grad=True)
+    assert d_feats is None and flat.shape == (m.n_params,)
+
+
 def test_reassigning_params_changes_output():
     m = init_noise_predictor(1, hidden=(8,), rng=RngState(14))
     x = np.array([[0.4], [-1.1]])

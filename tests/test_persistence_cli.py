@@ -207,13 +207,31 @@ def test_checkpoint_of_unknown_kind_is_rejected(tmp_path, capsys, line, edited, 
 def test_checkpoint_non_integer_header_names_its_key_and_value(tmp_path, capsys, key, bad, named):
     net = (init_classifier(1, 2, hidden=(4,), rng=RngState(6)) if key == "n_classes"
            else init_noise_predictor(1, hidden=(4,), conditioning=2, rng=RngState(6)))
+    _assert_bad_header(tmp_path, capsys, net, SCHED, key, bad,
+                       f"checkpoint {key}={named!r}: not an integer")
+
+
+@pytest.mark.parametrize("key, sched", [
+    ("schedule_beta_start", SCHED), ("schedule_beta_end", SCHED),
+    ("schedule_offset", make_cosine_schedule(10)),
+])
+def test_checkpoint_non_float_schedule_argument_names_its_key_and_value(tmp_path, capsys,
+                                                                       key, sched):
+    # float() alone used to report only "could not convert string to float: 'abc'"
+    net = init_noise_predictor(1, hidden=(4,), rng=RngState(6))
+    _assert_bad_header(tmp_path, capsys, net, sched, key, "abc",
+                       f"checkpoint {key}='abc': not a float")
+
+
+def _assert_bad_header(tmp_path, capsys, net, sched, key, bad, message):
+    """load_checkpoint and vlb on a checkpoint of net whose key line reads key=bad both
+    fail with message, and vlb writes nothing."""
     path = tmp_path / "h.ckpt"
-    save_checkpoint(net, SCHED, path)
+    save_checkpoint(net, sched, path)
     lines = path.read_text().splitlines()
     i = next(i for i, line in enumerate(lines) if line.startswith(f"{key}="))
     lines[i] = f"{key}={bad}"
     path.write_text("\n".join(lines) + "\n")
-    message = f"checkpoint {key}={named!r}: not an integer"
     with pytest.raises(ValueError) as e:
         load_checkpoint(path)
     assert str(e.value) == message
@@ -481,6 +499,8 @@ def _bad_input(tmp_path, case):
         "sample-sigma-ddpm-sampler": ["sample", "--seed", 0, "--checkpoint", ckpt,
                                       "--sigma", "ddpm"],
         "train-eta-nan": [*train, "--eta", "nan"],
+        "train-eta-inf": [*train, "--steps", 5, "--eta", "inf"],
+        "train-eta-huge": [*train, "--steps", 5, "--eta", "1e300"],  # step 2 overflows
         "train-loss-csv-empty": [*train, "--loss-csv", ""],
     }
     if case in writes_h:
@@ -525,7 +545,9 @@ def _bad_input(tmp_path, case):
      "--classifier does not apply without --guidance classifier"),
     ("sample-scale-without-guidance", 1, "a nonzero --scale does not apply without --guidance"),
     ("sample-sigma-ddpm-sampler", 1, "--sigma ddpm does not apply to --sampler ddpm"),
-    ("train-eta-nan", 2, "eta must be >= 0"),
+    ("train-eta-nan", 2, "eta must be finite and >= 0"),
+    ("train-eta-inf", 2, "eta must be finite and >= 0"),
+    ("train-eta-huge", 2, "nonfinite loss at step 2: inf"),
     ("train-loss-csv-empty", 2, "--loss-csv"),
     ("config-unknown-key", 1, "unrecognized arguments: --stpes=10"),
     ("config-fractional-count", 1, "--steps: invalid int value: '2.5'"),
