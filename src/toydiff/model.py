@@ -215,8 +215,9 @@ class NoisePredictor(_Network):
         out, acts = self._forward(feats)
         resid = out + self._baseline(feats) - eps
         sq = np.sum(resid ** 2, axis=1)
-        d_out = 2.0 * resid  # unit weights multiply by 1.0 exactly, so they are skipped
-        if weights is not None:
+        if weights is None:  # unit weights multiply by 1.0 exactly: skipping them keeps the bits
+            d_out = 2.0 * resid
+        else:
             sq, d_out = w * sq, 2.0 * w[:, None] * resid
         grad, _ = self._backward(acts, d_out / n)
         return float(np.mean(sq)), grad
