@@ -3,11 +3,11 @@ import sys
 import numpy as np
 import pytest
 
+from toydiff import schedules
 from toydiff.forward import default_mixture, gmm_sample
+from toydiff.losses import eps_kl_weight
 from toydiff.model import init_classifier, init_noise_predictor
 from toydiff.rng import RngState
-from toydiff import schedules
-from toydiff.losses import eps_kl_weight
 from toydiff.schedules import make_cosine_schedule, make_linear_schedule
 from toydiff.training import TrainConfig, train, train_classifier
 
@@ -164,7 +164,8 @@ def test_classifier_training_reaches_high_accuracy_at_low_noise():
 
 
 def test_divergence_raises_floating_point_error():
-    # no RuntimeWarning escapes (tier-1 turns warnings into errors): the loss check reports
+    # train needs no errstate of the caller: no RuntimeWarning escapes (tier-1 makes one an
+    # error), and the loss check reports the divergence
     m = init_noise_predictor(1, hidden=(8,), rng=RngState(17))
     with pytest.raises(FloatingPointError, match="nonfinite loss at step"):
         train(m, DATA, SCHED, TrainConfig(steps=2000, eta=50.0), RngState(18))
