@@ -1,9 +1,6 @@
-import sys
-
 import numpy as np
 import pytest
 
-from toydiff import schedules
 from toydiff.forward import default_mixture, gmm_sample
 from toydiff.losses import eps_kl_weight
 from toydiff.model import init_classifier, init_noise_predictor
@@ -169,43 +166,6 @@ def test_divergence_raises_floating_point_error():
     m = init_noise_predictor(1, hidden=(8,), rng=RngState(17))
     with pytest.raises(FloatingPointError, match="nonfinite loss at step"):
         train(m, DATA, SCHED, TrainConfig(steps=2000, eta=50.0), RngState(18))
-
-
-def _check_index_calls(run):
-    """How many times run() calls schedules.check_index, through check_t or not."""
-    code, calls = schedules.check_index.__code__, []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is code:
-            calls.append(1)
-
-    old = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(old)
-    return len(calls)
-
-
-@pytest.mark.parametrize("kind, budget", [
-    ("simple", 2),        # sample_xt's t and the features' t
-    ("conditional", 3),   # and the features' labels
-    ("weighted", 2),      # the weights are gathered from a table built once per call
-    ("classifier", 3),    # sample_xt's t, nll_and_grad's labels and the features' t
-])
-def test_index_checks_per_training_step(kind, budget):
-    def run(steps):
-        cfg = TrainConfig(steps=steps, batch_size=8,
-                          loss_variant="weighted" if kind == "weighted" else "simple")
-        if kind == "classifier":
-            c = init_classifier(1, 2, hidden=(4,), rng=RngState(26))
-            return lambda: train_classifier(c, DATA, SCHED, cfg, RngState(27))
-        m = init_noise_predictor(1, hidden=(4,), rng=RngState(26),
-                                 conditioning=2 if kind == "conditional" else None)
-        return lambda: train(m, DATA, SCHED, cfg, RngState(27))
-
-    assert _check_index_calls(run(5)) - _check_index_calls(run(0)) == 5 * budget
 
 
 def reference_weighted_train(m, data, sched, cfg, rng):
