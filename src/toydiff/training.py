@@ -9,7 +9,6 @@ probability p_drop so the same network also learns the unconditional
 prediction.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +40,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainReport:
-    loss_curve: list          # (step, running mean loss) pairs
-    final_checksum: float     # sum of final parameters
-    seconds: float
+    loss_curve: list          # (step, running mean loss) pairs; [] after 0 steps
 
 
 def train(m, data, sched, cfg, rng):
@@ -89,7 +86,7 @@ def _sgd(net, objective, data, sched, cfg, rng):
     A diverging run overflows without a warning and stops at the first
     nonfinite loss with a FloatingPointError.
     """
-    curve, acc, t0 = [], [], time.perf_counter()
+    curve, acc = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # entered once, not once per step
         for step in range(1, cfg.steps + 1):
             x0, labels = forward.gmm_sample(data, rng, size=cfg.batch_size)
@@ -103,8 +100,4 @@ def _sgd(net, objective, data, sched, cfg, rng):
             if step % cfg.eval_interval == 0 or step == cfg.steps:
                 curve.append((step, float(np.mean(acc))))
                 acc = []
-        checksum = float(np.sum(net.params))
-    if not curve:
-        curve = [(0, float("nan"))]
-    return TrainReport(loss_curve=curve, final_checksum=checksum,
-                       seconds=time.perf_counter() - t0)
+    return TrainReport(loss_curve=curve)

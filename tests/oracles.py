@@ -143,4 +143,4 @@ def vlb_per_t(m, x0, sched, M, rng):
 
     LT = kl_closed_form(forward.marginal_q(x0, sched.T, sched),
                         DiagGaussian(np.zeros_like(x0), np.ones_like(x0)))
-    return VlbReport(L0=L0, Lt=Lt, LT=LT, total=L0 + float(np.sum(Lt)) + LT)
+    return VlbReport(L0=L0, Lt=Lt, LT=LT)

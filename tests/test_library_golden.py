@@ -84,7 +84,7 @@ def _digests():
     for seed, variant in enumerate(("simple", "weighted", "conditional", "classifier")):
         net, rep = _trained(variant, seed)
         nets[variant] = net
-        out[f"train/{variant}"] = _sha(net.params, rep.loss_curve, rep.final_checksum)
+        out[f"train/{variant}"] = _sha(net.params, rep.loss_curve, float(np.sum(net.params)))
     m, cond, cls = nets["simple"], nets["conditional"], nets["classifier"]
 
     configs = {"ddpm": dict(kind="ddpm"), "ddim0": dict(kind="ddim", sigma_policy="zero"),

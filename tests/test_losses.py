@@ -145,15 +145,17 @@ def test_weighted_loss_cross_identity():
 
 
 def test_vlb_report_invariants():
-    with pytest.raises(ValueError):
-        VlbReport(L0=1.0, Lt=np.array([0.5]), LT=0.2, total=2.0)
-    with pytest.raises(ValueError):
-        VlbReport(L0=1.0, Lt=np.array([-0.5]), LT=0.2, total=0.7)
-    nan = math.nan  # a NaN term or total used to pass both checks
-    for L0, Lt, LT, total in ((1.0, [0.5], 0.2, nan), (nan, [0.5], 0.2, nan),
-                              (1.0, [nan], 0.2, nan), (1.0, [0.5], nan, nan)):
-        with pytest.raises(ValueError, match="total must equal"):
-            VlbReport(L0=L0, Lt=np.array(Lt), LT=LT, total=total)
+    rep = VlbReport(L0=-1.5, Lt=np.array([0.5, 0.1, 0.3]), LT=0.2)
+    assert rep.total == -1.5 + float(np.sum(rep.Lt)) + 0.2  # the sum, bit for bit
+    with pytest.raises(TypeError):  # the total is derived, never given
+        VlbReport(L0=1.0, Lt=np.array([0.5]), LT=0.2, total=1.7)
+    nan, inf = math.nan, math.inf
+    for L0, Lt, LT in ((1.0, [-0.5], 0.2), (1.0, [0.5], -0.2),  # a negative KL term
+                       (nan, [0.5], 0.2), (1.0, [nan], 0.2), (1.0, [0.5], nan),
+                       (inf, [0.5], 0.2), (-inf, [0.5], 0.2), (1.0, [inf], 0.2),
+                       (1.0, [0.5], inf)):
+        with pytest.raises(ValueError, match="every term must be finite and every KL term >= 0"):
+            VlbReport(L0=L0, Lt=np.array(Lt), LT=LT)
     s, rng = make_linear_schedule(6, 0.05, 0.3), RngState(0)
     for x0 in ([math.inf], [math.nan], [0.5, -math.inf]):
         with pytest.raises(ValueError, match="x0 must be finite"):

@@ -256,12 +256,14 @@ def test_cli_train_rerun_byte_identical(tmp_path):
 
 
 def test_cli_train_zero_steps_equals_init(tmp_path):
-    out = tmp_path / "init.ckpt"
+    out, loss = tmp_path / "init.ckpt", tmp_path / "loss.csv"
     assert run2(["train", "--seed", 3, "--desk", "--steps", 0,
-                 "--hidden", "8", "--out", out]) == 0
+                 "--hidden", "8", "--out", out, "--loss-csv", loss]) == 0
     m, _ = load_checkpoint(out)
     fresh = init_noise_predictor(1, hidden=(8,), rng=RngState(3).spawn(1))
     assert np.array_equal(m.params, fresh.params)
+    # no step, no loss row: only the header (a 0-step run used to write 0,nan)
+    assert [l for l in loss.read_text().splitlines() if not l.startswith("#")] == ["step,loss"]
 
 
 def checkpoint_meta(path):

@@ -93,8 +93,12 @@ def test_training_is_deterministic():
         reports.append(rep)
         params.append(m.params.copy())
     assert np.array_equal(params[0], params[1])
-    assert reports[0].loss_curve == reports[1].loss_curve
-    assert reports[0].final_checksum == reports[1].final_checksum
+    assert reports[0] == reports[1]
+
+
+def test_zero_steps_report_an_empty_loss_curve():
+    m = init_noise_predictor(1, hidden=(4,), rng=RngState(4))
+    assert train(m, DATA, SCHED, TrainConfig(steps=0), RngState(5)).loss_curve == []
 
 
 def test_loss_curve_trends_down():
