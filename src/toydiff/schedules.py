@@ -95,15 +95,17 @@ def check_index(v, lo, hi, name):
     is an integer value in [lo, hi], where hi is finite so that NaN and inf fail.
 
     An integer or bool array is in range when its min and max are (an empty one always
-    is); only a float array pays for the per-entry range and integer-value tests.
+    is); only a float array pays for the per-entry range and integer-value tests.  A
+    float is held below hi + 1, not at most hi: NO_MAX as a float rounds up to 2**63,
+    which NO_MAX + 1 is exactly.
     """
     if not isinstance(v, (int, float, np.number)):  # a 0-d array compares ~20x slower
         v = np.asarray(v)
         kind = v.dtype.kind
         if (kind in "biu" and (not v.size or lo <= v.min() and v.max() <= hi)
-                or kind == "f" and np.all((lo <= v) & (v <= hi)) and not np.any(v % 1)):
+                or kind == "f" and np.all((lo <= v) & (v < hi + 1)) and not np.any(v % 1)):
             return v.astype(np.int64, copy=False) if v.ndim else int(v)
-    elif lo <= v <= hi and v == int(v):
+    elif lo <= v < hi + 1 and v == int(v):
         return int(v)
     raise ValueError(f"{name} {v} out of range [{lo}, {hi}] or not integer-valued")
 

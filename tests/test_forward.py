@@ -36,7 +36,7 @@ def test_gmm_spec_validation():
         with pytest.raises(ValueError, match="inconsistent mixture shapes"):
             GmmSpec(weights=w, means=m, vars=v)
     for labels in ([0], [0, 1, 1], [0, -1], [-2, 1],
-                   [0.5, 1], [float("nan"), 1], [float("inf"), 1]):
+                   [0.5, 1], [float("nan"), 1], [float("inf"), 1], [2.0**63, 0.0]):
         with pytest.raises(ValueError, match="labels"):
             GmmSpec(weights=[0.5, 0.5], means=[[0.0], [1.0]], vars=[[1.0], [1.0]],
                     labels=labels)
