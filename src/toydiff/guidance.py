@@ -29,8 +29,8 @@ class GuidanceConfig:
     def __post_init__(self):
         if self.mode not in ("none", "classifier", "classifier-free"):
             raise ValueError("mode must be 'none', 'classifier' or 'classifier-free'")
-        if not self.scale >= 0.0:  # NaN fails too
-            raise ValueError("scale must be >= 0")
+        if not 0.0 <= self.scale < np.inf:  # NaN fails too
+            raise ValueError("scale must be finite and >= 0")
         if self.target is None and self.mode != "none":
             raise ValueError("guided modes need a target class")
         if self.target is not None:

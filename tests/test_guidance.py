@@ -36,8 +36,8 @@ def test_guidance_config_validation():
 
 def test_classifier_shift_rejects_negative_or_nan_scale():
     # the classifier-gradient scale is checked once, when the config is built
-    for bad in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="scale must be >= 0"):
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="scale must be finite and >= 0"):
             GuidanceConfig(mode="classifier", scale=bad, target=1, classifier=CLS)
 
 

@@ -427,6 +427,11 @@ def _bad_input(tmp_path, case):
         cls = train_small(tmp_path, "cls.ckpt", ["--classifier", "--schedule", "cosine"])
         return ["sample", "--seed", 0, "--checkpoint", ckpt, "--guidance", "classifier",
                 "--classifier", cls, "--label", 1, "--scale", 1, "--out", tmp_path / "s.csv"]
+    if case in ("sample-huge-params", "vlb-huge-params"):  # step 1's loss is still finite
+        huge = train_small(tmp_path, "huge.ckpt", ["--steps", 1, "--eta", "1e300"])
+        x0 = ["--x0", 0.5] if case == "vlb-huge-params" else []
+        return [case.split("-")[0], "--seed", 0, "--checkpoint", huge, *x0,
+                "--out", tmp_path / "h.csv"]
     if case == "hist-no-data-rows":
         empty = tmp_path / "empty.csv"
         empty.write_text("# seed=0\n")
@@ -490,6 +495,8 @@ def _bad_input(tmp_path, case):
         "vlb-x0-nan": ["vlb", "--seed", 0, "--checkpoint", ckpt, "--x0", "nan"],
         "sample-cfg-scale-nan": ["sample", "--seed", 0, "--checkpoint", ckpt, "--guidance",
                                  "cfg", "--label", 0, "--scale", "nan"],
+        "sample-cfg-scale-inf": ["sample", "--seed", 0, "--checkpoint", ckpt, "--guidance",
+                                 "cfg", "--label", 0, "--scale", "inf"],
         "sample-cfg-without-label": ["sample", "--seed", 0, "--checkpoint", ckpt,
                                      "--guidance", "cfg", "--scale", 1],
         "sample-classifier-without-label": ["sample", "--seed", 0, "--checkpoint", ckpt,
@@ -542,7 +549,10 @@ def _bad_input(tmp_path, case):
     ("forward-x0-nan", 1, "--x0 needs finite numbers"),
     ("forward-x0-inf", 1, "--x0 needs finite numbers"),
     ("vlb-x0-nan", 1, "--x0 needs finite numbers"),
-    ("sample-cfg-scale-nan", 2, "scale must be >= 0"),
+    ("sample-cfg-scale-nan", 2, "scale must be finite and >= 0"),
+    ("sample-cfg-scale-inf", 2, "scale must be finite and >= 0"),
+    ("sample-huge-params", 2, "error: overflow encountered"),
+    ("vlb-huge-params", 2, "error: overflow encountered"),
     ("sample-classifier-without-guidance", 1,
      "--classifier does not apply without --guidance classifier"),
     ("sample-scale-without-guidance", 1, "a nonzero --scale does not apply without --guidance"),
