@@ -1,12 +1,15 @@
 """Closed-form references for the tests: noise predictors, a noisy classifier,
 schedule invariants, the DDIM form of the reverse mean, an exact empirical W1,
-the variational bound computed one t at a time and the index check that tests
-every entry.
+the variational bound computed one t at a time, the index check that tests
+every entry, and the name of the BLAS kernel the golden digests depend on.
 
 A noise predictor is any object with ``data_dim`` and
 ``predict(x, t, y, sched)``; the samplers and vlb_estimate take these
 wherever they take a trained NoisePredictor.
 """
+
+import ctypes
+from pathlib import Path
 
 import numpy as np
 
@@ -14,6 +17,16 @@ from toydiff import forward
 from toydiff.gaussian import DiagGaussian, kl_closed_form, log_pdf
 from toydiff.losses import VlbReport, mu_tilde_from_eps
 from toydiff.schedules import check_count
+
+
+def blas_core():
+    """The OpenBLAS kernel that numpy's bundled scipy-openblas picked on this host
+    ('SkylakeX' on an AVX-512 one), or None when numpy bundles no scipy-openblas."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*")):
+        corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
 
 
 def check_index_reference(v, lo, hi, name):

@@ -4,10 +4,13 @@ Each command runs in a temporary directory with relative paths, because
 CSV headers record the path flags.  The SHA-256 of every file it writes
 (and of one stdout run) is pinned, so a refactor of the CLI or of the
 code under it must keep every output byte for byte.  The digests pin the
-float64 bits of numpy 2.4 on x86-64; another BLAS may move last digits.
+float64 bits of numpy 2.4 on x86-64 with OpenBLAS's GOLDEN_KERNEL; another
+kernel may move last digits, and a failure names both kernels.
 """
 
 import hashlib
+
+from oracles import blas_core
 
 from toydiff.cli import run_cli
 
@@ -44,6 +47,7 @@ COMMANDS = [
 ]
 STDOUT_RUN = ["vlb", "--seed", "4", "--checkpoint", "m.ckpt", "--x0", "-0.25"]
 
+GOLDEN_KERNEL = "SkylakeX"  # the OpenBLAS kernel (oracles.blas_core) the digests were made on
 GOLDEN = {
     "m.ckpt": "430696357f5f7b9ef340d3dae5776ea257e6f619c64e978bfe3505197e152b92",
     "loss.csv": "28e39e214cbb8916b13de8ba254b13b16d754a974ce9763193d860ba3fbc22f3",
@@ -77,7 +81,8 @@ def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert run_cli(STDOUT_RUN) == 0
     digests["stdout"] = _sha(capsys.readouterr().out.encode())
-    assert digests == GOLDEN
+    assert digests == GOLDEN, \
+        f"digests made on BLAS kernel {GOLDEN_KERNEL}, run on {blas_core()}"
 
 
 def test_ddim_with_the_ddpm_sigma_writes_the_ddpm_rows(tmp_path, monkeypatch):

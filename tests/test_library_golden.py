@@ -8,7 +8,8 @@ guidance modes with their normal-draw counts (classifier guidance on DDPM
 and on DDIM with sigma = 0), the VLB terms, the network
 heads and the mixture log density.  Each value is the SHA-256 of the
 float64 bytes and shapes of its arrays, so a refactor must keep every bit.
-The digests pin numpy 2.4 on x86-64; another BLAS may move last digits.
+The digests pin numpy 2.4 on x86-64 with OpenBLAS's GOLDEN_KERNEL; another
+kernel may move last digits, and a failure names both kernels.
 """
 
 import functools
@@ -16,7 +17,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from oracles import ddim_mean, ddim_sigma_product
+from oracles import blas_core, ddim_mean, ddim_sigma_product
 
 from toydiff import forward, guidance, losses, samplers, training
 from toydiff.model import init_classifier, init_noise_predictor
@@ -27,6 +28,7 @@ SCHED = make_linear_schedule(50, 1e-3, 0.2)
 DATA = forward.default_mixture()
 HIDDEN = (16, 16)
 
+GOLDEN_KERNEL = "SkylakeX"  # the OpenBLAS kernel (oracles.blas_core) the digests were made on
 GOLDEN = {
     "train/simple": "e70d3f1b158d185cbe725ae579cbf68f01aa73224156d7fcd64fa9cd13f989e8",
     "train/weighted": "cd4ff85845437a5b18b9d92018988a260314695b30d5f96bce69770631a30d1d",
@@ -139,7 +141,8 @@ def _digests():
 
 
 def test_library_outputs_match_golden_digests():
-    assert _digests() == GOLDEN
+    assert _digests() == GOLDEN, \
+        f"digests made on BLAS kernel {GOLDEN_KERNEL}, run on {blas_core()}"
 
 
 @pytest.mark.parametrize("policy", ("zero", "ddpm"))
