@@ -313,7 +313,7 @@ def run_cli(argv):
             args = ap.parse_args(argv[:1] + lines + argv[1:])
         if "" in (args.out, getattr(args, "loss_csv", None)):  # fail before any work
             raise ValueError("--out and --loss-csv need a non-empty path")
-        with np.errstate(over="raise", invalid="raise", divide="raise"):  # no inf or NaN output
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # an overflowing model exits 2
             table = args.func(args, RngState(args.seed))
             if table is not None:
                 write_csv(args.out or sys.stdout, *table, _meta(args))

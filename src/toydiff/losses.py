@@ -67,7 +67,7 @@ def loss_eps_weighted(eps_hat, eps, t, sched):
 
 @dataclass(frozen=True)
 class VlbReport:
-    """Per-term variational bound in nats; total = L0 + sum(Lt) + LT."""
+    """Per-term variational bound in nats: total = L0 + sum(Lt) + LT."""
     L0: float
     Lt: np.ndarray  # terms for t = 2..T, index 0 <-> t=2
     LT: float

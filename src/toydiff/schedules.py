@@ -95,9 +95,8 @@ def check_index(v, lo, hi, name):
     is an integer value in [lo, hi], where hi is finite so that NaN and inf fail.
 
     An integer or bool array is in range when its min and max are (an empty one always
-    is); only a float array pays for the per-entry range and integer-value tests.  A
-    float is held below hi + 1, not at most hi: NO_MAX as a float rounds up to 2**63,
-    which NO_MAX + 1 is exactly.
+    is); only a float array pays for the per-entry range and integer-value tests.  A float
+    must lie below hi + 1: as a float, NO_MAX rounds up to 2**63 = NO_MAX + 1.
     """
     if not isinstance(v, (int, float, np.number)):  # a 0-d array compares ~20x slower
         v = np.asarray(v)
