@@ -3,7 +3,8 @@
 Each row of BUDGETS runs one workload at a tiny size (T = 20, 3 chains, 5 training
 steps of 8 samples) under sys.setprofile and counts the calls that cost time on a
 real run: check_index, the network passes (predict and grad_x calls and the rows
-they take), the normal draws, and every call into a toydiff function.  The last
+they take), the backward passes, the normal draws, and every call into a toydiff
+function.  The last
 count catches per-step Python work that no other count sees.  The counts do not
 move with the host, so a change that adds or removes work shows here as an
 edited row, whatever its timings did.  The "setup" row is the benchmark's
@@ -28,14 +29,15 @@ from toydiff.schedules import make_linear_schedule
 PACKAGE = str(Path(toydiff.__file__).parent)
 SCHED = make_linear_schedule(20)
 DATA = forward.default_mixture()
-COLUMNS = ("check_index", "predict", "predict_rows", "grad_x", "grad_x_rows",
+COLUMNS = ("check_index", "predict", "predict_rows", "grad_x", "grad_x_rows", "_backward",
            "normal_draws", "calls")
 
 
 def _counts(run):
     """The COLUMNS of one run(rng) on a fresh RngState, as a dict."""
     codes = {schedules.check_index.__code__: "check_index",
-             NoisePredictor.predict.__code__: "predict", Classifier.grad_x.__code__: "grad_x"}
+             NoisePredictor.predict.__code__: "predict", Classifier.grad_x.__code__: "grad_x",
+             NoisePredictor._backward.__code__: "_backward"}
     c = Counter({k: 0 for k in COLUMNS})
 
     def profile(frame, event, arg):
@@ -45,7 +47,7 @@ def _counts(run):
         name = codes.get(frame.f_code)
         if name is not None:
             c[name] += 1
-            if name != "check_index":
+            if name in ("predict", "grad_x"):
                 c[f"{name}_rows"] += np.atleast_2d(frame.f_locals["x"]).shape[0]
 
     rng = RngState(7)
@@ -103,18 +105,18 @@ WORKLOADS = {
     "setup": lambda: _setup,
 }
 
-# check_index, predict, predict_rows, grad_x, grad_x_rows, normal_draws, calls
+# check_index, predict, predict_rows, grad_x, grad_x_rows, _backward, normal_draws, calls
 BUDGETS = {
-    "train/simple": (10, 0, 0, 0, 0, 80, 113),
-    "train/weighted": (11, 0, 0, 0, 0, 80, 116),
-    "train/conditional": (15, 0, 0, 0, 0, 80, 123),
-    "train/classifier": (15, 0, 0, 0, 0, 80, 118),
-    "sample/ddpm": (60, 20, 60, 0, 0, 60, 384),
-    "sample/ddim": (40, 20, 60, 0, 0, 3, 325),
-    "sample/cfg": (122, 40, 120, 0, 0, 60, 687),
-    "sample/classifier": (102, 20, 60, 20, 60, 60, 668),
-    "vlb": (44, 20, 60, 0, 0, 60, 331),
-    "setup": (2, 0, 0, 0, 0, 2, 53),
+    "train/simple": (10, 0, 0, 0, 0, 5, 80, 113),
+    "train/weighted": (11, 0, 0, 0, 0, 5, 80, 116),
+    "train/conditional": (15, 0, 0, 0, 0, 5, 80, 123),
+    "train/classifier": (15, 0, 0, 0, 0, 5, 80, 118),
+    "sample/ddpm": (60, 20, 60, 0, 0, 0, 60, 384),
+    "sample/ddim": (40, 20, 60, 0, 0, 0, 3, 325),
+    "sample/cfg": (122, 40, 120, 0, 0, 0, 60, 687),
+    "sample/classifier": (102, 20, 60, 20, 60, 20, 60, 668),
+    "vlb": (44, 20, 60, 0, 0, 0, 60, 331),
+    "setup": (2, 0, 0, 0, 0, 0, 2, 53),
 }
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from oracles import PointMassOracle, ddim_mean
 
+from toydiff.guidance import GuidanceConfig, cfg_eps, guided_sample
 from toydiff.losses import mu_tilde_from_eps
-from toydiff.model import init_noise_predictor
+from toydiff.model import init_classifier, init_noise_predictor
 from toydiff.rng import RngState
 from toydiff.samplers import (SamplerConfig, ddim_sigma_ddpm_equiv, ddim_step,
                               ddpm_step, final_states, sample_reverse)
@@ -172,3 +173,60 @@ def test_sample_reverse_trajectory_recording():
     one = sample_reverse(MODEL, SamplerConfig(kind="ddpm", n_chains=1, record=True),
                          SCHED, rng=RngState(10))
     assert np.array_equal(ends, one[[0, -1]])  # recording changes no draw
+
+
+COND = init_noise_predictor(1, hidden=(8,), conditioning=2, rng=RngState(1))
+CLS = init_classifier(1, 2, (8,), rng=RngState(2))
+CHAIN_SCHEDS = (make_linear_schedule(1000), make_linear_schedule(100, 1e-3, 0.2),
+                make_cosine_schedule(50))
+
+
+class _ClassifierGuided:
+    """eps(x) - s sqrt(1 - abar_t) grad_x log p(y | x_t), written out from guidance's doc."""
+    data_dim = 1
+
+    def predict(self, x, t, y, sched):
+        grad = CLS.grad_x(x, t, 1, sched)
+        return MODEL.predict(x, t, None, sched) - 1.5 * np.sqrt(1.0 - sched.alpha_bar[t]) * grad
+
+
+class _FreeGuided:
+    data_dim = 1
+
+    def predict(self, x, t, y, sched):
+        return cfg_eps(COND, x, t, 0, 2.0, sched)
+
+
+CHAIN_CASES = {  # (sampler, guidance, the predictor a public-step loop runs on)
+    "ddpm": (dict(kind="ddpm"), dict(mode="none"), MODEL),
+    "ddim0": (dict(kind="ddim", sigma_policy="zero"), dict(mode="none"), MODEL),
+    "ddimd": (dict(kind="ddim", sigma_policy="ddpm"), dict(mode="none"), MODEL),
+    "cfg": (dict(kind="ddpm"), dict(mode="classifier-free", scale=2.0, target=0), _FreeGuided()),
+    "classifier": (dict(kind="ddpm"), dict(mode="classifier", scale=1.5, target=1,
+                                           classifier=CLS), _ClassifierGuided()),
+    "classifier/ddim0": (dict(kind="ddim", sigma_policy="zero"),
+                         dict(mode="classifier", scale=1.5, target=1, classifier=CLS),
+                         _ClassifierGuided()),
+}
+
+
+@pytest.mark.parametrize("n", (1, 3, 300))
+@pytest.mark.parametrize("sched", CHAIN_SCHEDS, ids=("linear1000", "desk", "cosine50"))
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_sample_reverse_is_a_loop_of_the_public_steps(case, sched, n):
+    # every recorded state and the draw count, byte for byte, against the chain
+    # written as a loop of ddpm_step / ddim_step on the same stream
+    kw, g, predictor = CHAIN_CASES[case]
+    cfg = SamplerConfig(n_chains=n, record=True, **kw)
+    rng, ref_rng = RngState(3, n), RngState(3, n)
+    net = COND if g["mode"] == "classifier-free" else MODEL
+    states = guided_sample(net, cfg, GuidanceConfig(**g), sched, rng)
+    ddim0 = cfg.kind == "ddim" and cfg.sigma_policy == "zero"
+    x = ref_rng.standard_normal((n, 1))
+    ref = [x]
+    for t in range(sched.T, 0, -1):
+        x = (ddim_step(predictor, x, t, 0.0, sched, rng=ref_rng) if ddim0
+             else ddpm_step(predictor, x, t, sched, rng=ref_rng))
+        ref.append(x)
+    assert states.tobytes() == np.stack(ref).tobytes()
+    assert rng.normal_draws == ref_rng.normal_draws
