@@ -1,14 +1,14 @@
 """Loss family: eps/x0 conversions, the reverse mean, weighted losses and the variational bound.
 
-mu_tilde_from_eps is the one reverse mean, DDIM's sigma family in eps form;
-the samplers and vlb_estimate share it.  The weighted losses carry the exact
+mu_tilde_from_eps is the one reverse mean, DDIM's sigma family in eps form at
+one t; reverse_plan holds its coefficients for every t of a chain, built once
+per call of sample_reverse or vlb_estimate, which read it.  The weighted losses carry the exact
 per-step KL coefficients (training's weighted variant reads eps_kl_weight)
 and reject t = 1, where beta_tilde_1 = 0 leaves the weight undefined;
 training gives t = 1 the t = 2 weight.  vlb_estimate runs on any noise
 predictor (see samplers): a trained model or an exact oracle.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,21 +26,35 @@ def x0_from_eps(x_t, eps, t, sched):
             - np.sqrt(1.0 - ab) * np.asarray(eps)) / np.sqrt(ab)
 
 
-def mu_tilde_from_eps(x_t, eps, t, sched, var=None):
-    """The reverse mean at a scalar t: the eps form of the mean of q_sigma(x_{t-1} | x_t, x0).
-
-    sigma_t^2 = var.  The sqrt(alpha) term of c is exactly 0.0 at the default var = beta_tilde_t,
-    which leaves the posterior mean (x_t - (1-alpha)/sqrt(1-abar) eps) / sqrt(alpha).
-    """
-    t = check_t(t, sched)
-    a, ab, bt = sched.alpha.item(t), sched.alpha_bar.item(t), sched.beta_tilde.item(t)
-    v_max = 1.0 - sched.alpha_bar.item(t - 1)  # 1 - abar_{t-1}, the largest sigma_t^2
+def _coefficients(sched, t, var):
+    """c_t, sqrt(alpha_t) and sigma_t of x_{t-1} = (x_t - c_t eps) / sqrt(alpha_t) + sigma_t z
+    at checked steps t (an int or an index array), sigma_t^2 = var (beta_tilde_t when None,
+    where c's sqrt(alpha) term is exactly 0.0 and the mean is the posterior mean).
+    ValueError unless every sigma_t^2 lies in [0, 1 - abar_{t-1}]."""
+    a, ab, bt = sched.alpha[t], sched.alpha_bar[t], sched.beta_tilde[t]
+    v_max = 1.0 - sched.alpha_bar[t - 1]  # 1 - abar_{t-1}, the largest sigma_t^2
     var = bt if var is None else var
-    if not 0.0 <= var <= v_max:  # NaN fails too
+    if not np.all((0.0 <= var) & (var <= v_max)):  # NaN fails too
         raise ValueError("sigma_t^2 must lie in [0, 1 - abar_{t-1}]")
-    c = ((1.0 - a) / math.sqrt(1.0 - ab)
-         + math.sqrt(a) * (math.sqrt(v_max - bt) - math.sqrt(v_max - var)))
-    return (np.asarray(x_t, dtype=np.float64) - c * np.asarray(eps)) / math.sqrt(a)
+    c = (1.0 - a) / np.sqrt(1.0 - ab) + np.sqrt(a) * (np.sqrt(v_max - bt) - np.sqrt(v_max - var))
+    return c, np.sqrt(a), np.sqrt(var)
+
+
+def mu_tilde_from_eps(x_t, eps, t, sched, var=None):
+    """The reverse mean at a scalar t: the eps form of the mean of q_sigma(x_{t-1} | x_t, x0),
+    sigma_t^2 = var (beta_tilde_t when None, which gives the posterior mean)."""
+    c, sqrt_a, _ = _coefficients(sched, check_t(t, sched), var)
+    return (np.asarray(x_t, dtype=np.float64) - c * np.asarray(eps)) / sqrt_a
+
+
+def reverse_plan(sched, var=None):
+    """The chain's (T + 1, 3) plan: row t is (c_t, sqrt(alpha_t), sigma_t) at sigma_t^2 = var
+    (beta_tilde_t when None; 0.0 for deterministic DDIM), and row 0 is NaN.  The sigma_t^2
+    range check runs once over all rows; each row gives mu_tilde_from_eps's bytes at its t."""
+    plan = np.full((sched.T + 1, 3), np.nan)
+    plan[1:] = np.column_stack(np.broadcast_arrays(
+        *_coefficients(sched, np.arange(1, sched.T + 1), var)))
+    return plan
 
 
 def loss_x0_weighted(x0_hat, x0, t, sched):
@@ -94,8 +108,9 @@ def vlb_estimate(m, x0, sched, M, rng):
 
     The noise of t = 2..T is one (T - 1, M * d) normal draw, one row per t:
     the same stream as one (M * d,) draw per t, or M draws of size d.  The
-    posteriors and KLs of those t are one call each over the rows.  The M
-    per-draw Gaussians are independent, so their KLs (and log densities)
+    posteriors and KLs of those t are one call each over the rows, and the
+    reverse means of every t are one array operation on reverse_plan's rows.
+    The M per-draw Gaussians are independent, so their KLs (and log densities)
     sum into the KL of the flattened (M * d,) Gaussians.
     """
     check_count(M, 1, "M")
@@ -103,21 +118,20 @@ def vlb_estimate(m, x0, sched, M, rng):
     if not np.all(np.isfinite(x0)):  # before any draw
         raise ValueError("x0 must be finite")
     x0s = np.tile(x0, M)  # the M draws side by side, flattened in C order
-
-    def mu_p(x_t, t):
-        eps = np.reshape(m.predict(x_t.reshape(M, -1), t, None, sched), -1)
-        return mu_tilde_from_eps(x_t, eps, t, sched)
+    plan = reverse_plan(sched)
 
     ts = np.arange(2, sched.T + 1)
     rows = np.broadcast_to(x0s, (ts.size, x0s.size))  # row t - 2 holds the draws at t
     x_t, _ = forward.sample_xt(rows, ts, sched, rng)
     post = forward.posterior_q(x_t, rows, ts, sched)
-    mu = np.reshape([mu_p(x, t) for t, x in enumerate(x_t, start=2)], x_t.shape)  # T = 1: no rows
-    Lt = kl_closed_form(post, DiagGaussian(mu, post.var)) / M  # the kernel shares post's variance
-
     x1, _ = forward.sample_xt(x0s, 1, sched, rng)
-    x0_hat = mu_p(x1, 1)
-    dec = DiagGaussian(x0_hat, np.full_like(x0_hat, sched.beta[1]))
+    xs = np.vstack((x1, x_t))  # row t - 1 holds the draws at t
+    eps = np.reshape([m.predict(x.reshape(M, -1), t, None, sched)
+                      for t, x in enumerate(xs, start=1)], xs.shape)
+    mu = (xs - plan[1:, :1] * eps) / plan[1:, 1:2]  # row 0: x0_hat, the decoder's mean
+    Lt = kl_closed_form(post, DiagGaussian(mu[1:], post.var)) / M  # shares post's variance
+
+    dec = DiagGaussian(mu[0], np.full_like(mu[0], sched.beta[1]))
     L0 = -float(log_pdf(dec, x0s)) / M
 
     LT = kl_closed_form(forward.marginal_q(x0, sched.T, sched),

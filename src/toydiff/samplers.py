@@ -9,7 +9,11 @@ DDPM sigma policy runs the DDPM step; sigma = 0 is deterministic DDIM.
 States may carry a leading batch axis; one chain is strictly sequential,
 but a batch of chains advances in lock-step from a single stream.
 sample_reverse is the one reverse-chain loop: guidance runs on it as a
-guided noise predictor m, so every sampler takes every guidance mode.
+guided noise predictor m, so every sampler takes every guidance mode.  It
+builds one losses.reverse_plan per call, which checks every sigma_t^2 of the
+chain once, and each step reads its row: predict, then the mean and the draw
+of ddpm_step (or ddim_step at sigma = 0), byte for byte, with no per-step
+check of t or sigma_t^2 beyond the network's own.
 """
 
 import math
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import mu_tilde_from_eps
+from .losses import mu_tilde_from_eps, reverse_plan
 from .schedules import check_count, check_t
 
 
@@ -75,12 +79,15 @@ def sample_reverse(m, cfg, sched, y=None, *, rng):
     are the states at times T, T-1, ..., 0 (L = T + 1); with it off only
     the endpoints at times T and 0 are kept (L = 2).
     """
+    ddpm = cfg.kind == "ddpm" or cfg.sigma_policy == "ddpm"
+    plan = reverse_plan(sched, None if ddpm else 0.0).tolist()  # checks every sigma_t^2
     x = rng.standard_normal((cfg.n_chains, m.data_dim))
     recorded = [x]  # the steps never write x in place, so no state needs a copy
-    ddpm = cfg.kind == "ddpm" or cfg.sigma_policy == "ddpm"
     for t in range(sched.T, 0, -1):
-        x = (ddpm_step(m, x, t, sched, y=y, rng=rng) if ddpm
-             else ddim_step(m, x, t, 0.0, sched, y=y, rng=rng))
+        c, sqrt_a, sigma = plan[t]
+        x = (x - c * m.predict(x, t, y, sched)) / sqrt_a
+        if sigma > 0.0:  # sigma_1 = 0 at beta_tilde: the last DDPM step draws nothing
+            x = x + sigma * rng.standard_normal(x.shape)
         if cfg.record or t == 1:
             recorded.append(x)
     return np.stack(recorded)

@@ -71,13 +71,13 @@ def _train(variant, steps=5):
     return lambda rng: training.train(m, DATA, SCHED, cfg, rng)
 
 
-def _sample(kind, **g):
+def _sample(kind, sched=SCHED, **g):
     m = init_noise_predictor(1, (4,), 2 if g.get("mode") == "classifier-free" else None,
                              rng=RngState(2))
     if g.get("mode") == "classifier":
         g["classifier"] = init_classifier(1, 2, (4,), rng=RngState(3))
     cfg = samplers.SamplerConfig(kind=kind, n_chains=3)
-    return lambda rng: guidance.guided_sample(m, cfg, guidance.GuidanceConfig(**g), SCHED, rng)
+    return lambda rng: guidance.guided_sample(m, cfg, guidance.GuidanceConfig(**g), sched, rng)
 
 
 def _vlb():
@@ -111,11 +111,11 @@ BUDGETS = {
     "train/weighted": (11, 0, 0, 0, 0, 5, 80, 116),
     "train/conditional": (15, 0, 0, 0, 0, 5, 80, 123),
     "train/classifier": (15, 0, 0, 0, 0, 5, 80, 118),
-    "sample/ddpm": (60, 20, 60, 0, 0, 0, 60, 384),
-    "sample/ddim": (40, 20, 60, 0, 0, 0, 3, 325),
-    "sample/cfg": (122, 40, 120, 0, 0, 0, 60, 687),
-    "sample/classifier": (102, 20, 60, 20, 60, 20, 60, 668),
-    "vlb": (44, 20, 60, 0, 0, 0, 60, 331),
+    "sample/ddpm": (20, 20, 60, 0, 0, 0, 60, 246),
+    "sample/ddim": (20, 20, 60, 0, 0, 0, 3, 227),
+    "sample/cfg": (82, 40, 120, 0, 0, 0, 60, 549),
+    "sample/classifier": (62, 20, 60, 20, 60, 20, 60, 530),
+    "vlb": (24, 20, 60, 0, 0, 0, 60, 253),
     "setup": (2, 0, 0, 0, 0, 0, 2, 53),
 }
 
@@ -134,3 +134,12 @@ def test_work_budget(name):
 def test_index_checks_per_training_step(kind, budget):
     checks = lambda steps: _counts(_train(kind, steps))["check_index"]
     assert checks(5) - checks(0) == 5 * budget
+
+
+@pytest.mark.parametrize("kind, budget", [
+    ("ddpm", 1),  # the features' t; the chain's sigma_t^2 check runs once, in its plan
+    ("ddim", 1),  # the features' t
+])
+def test_index_checks_per_sampler_step(kind, budget):
+    checks = lambda T: _counts(_sample(kind, make_linear_schedule(T)))["check_index"]
+    assert checks(20) - checks(10) == 10 * budget

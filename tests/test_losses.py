@@ -9,7 +9,7 @@ from toydiff import forward
 from toydiff.forward import posterior_q
 from toydiff.gaussian import DiagGaussian, kl_closed_form, log_pdf
 from toydiff.losses import (VlbReport, loss_eps_weighted, loss_x0_weighted,
-                            mu_tilde_from_eps, vlb_estimate, x0_from_eps)
+                            mu_tilde_from_eps, reverse_plan, vlb_estimate, x0_from_eps)
 from toydiff.model import init_noise_predictor
 from toydiff.rng import RngState
 from toydiff.schedules import make_cosine_schedule, make_linear_schedule
@@ -108,6 +108,31 @@ def test_mu_tilde_t1_equals_x0_recovery():
     xt, eps = np.array([0.8]), np.array([-0.4])
     assert np.allclose(mu_tilde_from_eps(xt, eps, 1, s),
                        x0_from_eps(xt, eps, 1, s), rtol=1e-14)
+
+
+@pytest.mark.parametrize("s", (make_linear_schedule(1000), make_linear_schedule(100, 1e-3, 0.2),
+                               make_cosine_schedule(50)), ids=("linear1000", "desk", "cosine50"))
+@pytest.mark.parametrize("var", (None, 0.0))
+def test_reverse_plan_rows_give_the_mu_tilde_bytes(s, var):
+    # row t of the plan is mu_tilde_from_eps's step at t, bit for bit, and its sigma_t
+    plan = reverse_plan(s, var)
+    assert plan.shape == (s.T + 1, 3) and np.all(np.isnan(plan[0]))
+    rng = np.random.default_rng(8)
+    xt, eps = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+    for t in range(1, s.T + 1):
+        c, sqrt_a, sigma = plan[t]
+        assert ((xt - c * eps) / sqrt_a).tobytes() == mu_tilde_from_eps(xt, eps, t, s, var).tobytes()
+        assert sigma == (math.sqrt(s.beta_tilde[t]) if var is None else 0.0)
+
+
+def test_reverse_plan_checks_every_sigma_once():
+    s = make_linear_schedule(10, 0.05, 0.2)
+    v_max = 1 - s.alpha_bar[:-1]  # the largest sigma_t^2 of t = 1..T
+    message = re.escape("sigma_t^2 must lie in [0, 1 - abar_{t-1}]")
+    for bad in (math.nan, -1e-300, 1e-3, v_max * (1 + 1e-12)):  # 1e-3 > 0 = v_max at t = 1
+        with pytest.raises(ValueError, match=message):
+            reverse_plan(s, bad)
+    assert np.array_equal(reverse_plan(s, v_max)[1:, 2], np.sqrt(v_max))
 
 
 def test_weighted_losses_zero_and_scaling():
