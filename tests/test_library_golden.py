@@ -14,6 +14,11 @@ kernel may move last digits, and a failure names both kernels.
 
 import functools
 import hashlib
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,12 +86,13 @@ def _trained(variant, seed):
     return net, rep
 
 
-def _digests():
+def _outputs():
+    """Every golden value by name: a tuple of its arrays, floats and normal-draw counts."""
     out, nets = {}, {}
     for seed, variant in enumerate(("simple", "weighted", "conditional", "classifier")):
         net, rep = _trained(variant, seed)
         nets[variant] = net
-        out[f"train/{variant}"] = _sha(net.params, rep.loss_curve, float(np.sum(net.params)))
+        out[f"train/{variant}"] = (net.params, rep.loss_curve, float(np.sum(net.params)))
     m, cond, cls = nets["simple"], nets["conditional"], nets["classifier"]
 
     configs = {"ddpm": dict(kind="ddpm"), "ddim0": dict(kind="ddim", sigma_policy="zero"),
@@ -97,7 +103,7 @@ def _digests():
                 rng = RngState(10 + n, int(record))
                 cfg = samplers.SamplerConfig(n_chains=n, record=record, **kw)
                 states = samplers.sample_reverse(m, cfg, SCHED, rng=rng)
-                out[f"sample/{name}/n{n}/record{int(record)}"] = _sha(states, rng.normal_draws)
+                out[f"sample/{name}/n{n}/record{int(record)}"] = (states, rng.normal_draws)
 
     ddpm = samplers.SamplerConfig(n_chains=7)
     modes = {"none": dict(mode="none", target=1),
@@ -107,42 +113,74 @@ def _digests():
         rng = RngState(20)
         net = m if name == "classifier" else cond
         states = guidance.guided_sample(net, ddpm, guidance.GuidanceConfig(**kw), SCHED, rng)
-        out[f"guidance/{name}"] = _sha(states, rng.normal_draws)
+        out[f"guidance/{name}"] = (states, rng.normal_draws)
     rng = RngState(20)
     ddim0 = samplers.SamplerConfig(kind="ddim", sigma_policy="zero", n_chains=7)
     states = guidance.guided_sample(m, ddim0, guidance.GuidanceConfig(**modes["classifier"]),
                                     SCHED, rng)
-    out["guidance/classifier/ddim0"] = _sha(states, rng.normal_draws)
+    out["guidance/classifier/ddim0"] = (states, rng.normal_draws)
 
     rep = losses.vlb_estimate(m, np.array([0.5]), SCHED, 3, RngState(30))
-    out["vlb"] = _sha(rep.L0, rep.Lt, rep.LT, rep.total)
+    out["vlb"] = (rep.L0, rep.Lt, rep.LT, rep.total)
 
     x = np.linspace(-3.0, 3.0, 9)[:, None]
     t_arr = np.arange(1, 10) * 5
     lbl = np.array([0, 1, 0, 1, 1, 0, -1, 1, 0])
-    out["predict"] = _sha(m.predict(x, t_arr, sched=SCHED), m.predict(x, 17, sched=SCHED),
-                          m.predict(x[3], 4, sched=SCHED), cond.predict(x, t_arr, lbl, SCHED),
-                          cond.predict(x, 33, None, SCHED))
+    out["predict"] = (m.predict(x, t_arr, sched=SCHED), m.predict(x, 17, sched=SCHED),
+                      m.predict(x[3], 4, sched=SCHED), cond.predict(x, t_arr, lbl, SCHED),
+                      cond.predict(x, 33, None, SCHED))
     nll, grad = cls.nll_and_grad(x, t_arr, np.abs(lbl), SCHED)
-    out["classifier"] = _sha(cls.log_probs(x, t_arr, SCHED), cls.log_probs(x[0], 12, SCHED),
-                             cls.grad_x(x, 25, 1, SCHED), cls.grad_x(x[2], 3, 0, SCHED),
-                             nll, grad)
+    out["classifier"] = (cls.log_probs(x, t_arr, SCHED), cls.log_probs(x[0], 12, SCHED),
+                         cls.grad_x(x, 25, 1, SCHED), cls.grad_x(x[2], 3, 0, SCHED),
+                         nll, grad)
 
     grid = np.linspace(-4.0, 4.0, 24).reshape(2, 3, 4, 1)
     spec2 = forward.GmmSpec(weights=[0.2, 0.5, 0.3], means=[[-1.0, 0.5], [0.0, 2.0], [3.0, -1.0]],
                             vars=[[0.5, 1.0], [0.25, 0.3], [2.0, 0.1]])
-    out["gmm_log_pdf"] = _sha(forward.gmm_log_pdf(DATA, grid), forward.gmm_log_pdf(DATA, 0.3),
-                              forward.gmm_log_pdf(spec2, grid.reshape(3, 4, 2)),
-                              forward.gmm_log_pdf(spec2, [0.1, -0.2]))
+    out["gmm_log_pdf"] = (forward.gmm_log_pdf(DATA, grid), forward.gmm_log_pdf(DATA, 0.3),
+                          forward.gmm_log_pdf(spec2, grid.reshape(3, 4, 2)),
+                          forward.gmm_log_pdf(spec2, [0.1, -0.2]))
     rng = RngState(40)
     xt, eps = forward.sample_xt(np.array([[0.5], [-1.0], [2.0]]), 20, SCHED, rng)
-    out["sample_xt"] = _sha(xt, eps, rng.normal_draws)
+    out["sample_xt"] = (xt, eps, rng.normal_draws)
     return out
+
+
+def _digests():
+    return {name: _sha(*values) for name, values in _outputs().items()}
 
 
 def test_library_outputs_match_golden_digests():
     assert _digests() == GOLDEN, \
         f"digests made on BLAS kernel {GOLDEN_KERNEL}, run on {blas_core()}"
+
+
+@pytest.mark.skipif(blas_core() is None, reason="numpy bundles no scipy-openblas")
+def test_the_haswell_kernel_moves_only_the_last_bits(tmp_path):
+    # the golden computation twice in a child process on OpenBLAS's AVX2 kernel
+    # (x86-64 hosts from 2013 on have it): its two runs are byte-identical, every
+    # value is within 1e-12 of this process's run and every normal-draw count is
+    # equal, so the kernel changes rounding and nothing else
+    out = tmp_path / "haswell.pkl"
+    child = ("import pickle; import test_library_golden as g; from oracles import blas_core; "
+             "first = g._outputs(); g._trained.cache_clear(); "
+             f"pickle.dump((blas_core(), first, g._outputs()), open({str(out)!r}, 'wb'))")
+    paths = (Path(__file__).parent, Path(samplers.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    subprocess.run([sys.executable, "-W", "error", "-c", child], env=env, check=True)
+    core, first, second = pickle.loads(out.read_bytes())
+    assert core == "Haswell"
+    assert {k: _sha(*v) for k, v in first.items()} == {k: _sha(*v) for k, v in second.items()}
+    native = _outputs()
+    assert first.keys() == native.keys()
+    for name, values in native.items():
+        for a, b in zip(values, first[name], strict=True):
+            if isinstance(a, int):  # a normal-draw count
+                assert a == b, name
+            else:
+                a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+                assert a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= 1e-12, name
 
 
 @pytest.mark.parametrize("policy", ("zero", "ddpm"))
