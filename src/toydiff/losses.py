@@ -126,8 +126,9 @@ def vlb_estimate(m, x0, sched, M, rng):
     post = forward.posterior_q(x_t, rows, ts, sched)
     x1, _ = forward.sample_xt(x0s, 1, sched, rng)
     xs = np.vstack((x1, x_t))  # row t - 1 holds the draws at t
-    eps = np.reshape([m.predict(x.reshape(M, -1), t, None, sched)
-                      for t, x in enumerate(xs, start=1)], xs.shape)
+    eps = np.empty_like(xs)  # row t - 1 holds the noise predicted at t
+    for t, x in enumerate(xs, start=1):
+        eps[t - 1] = np.reshape(m.predict(x.reshape(M, -1), t, None, sched), -1)
     mu = (xs - plan[1:, :1] * eps) / plan[1:, 1:2]  # row 0: x0_hat, the decoder's mean
     Lt = kl_closed_form(post, DiagGaussian(mu[1:], post.var)) / M  # shares post's variance
 

@@ -115,7 +115,7 @@ BUDGETS = {
     "sample/ddim": (20, 20, 60, 0, 0, 0, 3, 227),
     "sample/cfg": (82, 40, 120, 0, 0, 0, 60, 549),
     "sample/classifier": (62, 20, 60, 20, 60, 20, 60, 530),
-    "vlb": (24, 20, 60, 0, 0, 0, 60, 253),
+    "vlb": (24, 20, 60, 0, 0, 0, 60, 252),
     "setup": (2, 0, 0, 0, 0, 0, 2, 53),
 }
 
