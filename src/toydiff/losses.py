@@ -2,10 +2,10 @@
 
 mu_tilde_from_eps is the one reverse mean, DDIM's sigma family in eps form at
 one t; reverse_plan holds its coefficients for every t of a chain, built once
-per call of sample_reverse or vlb_estimate, which read it.  The weighted losses carry the exact
-per-step KL coefficients (training's weighted variant reads eps_kl_weight)
-and reject t = 1, where beta_tilde_1 = 0 leaves the weight undefined;
-training gives t = 1 the t = 2 weight.  vlb_estimate runs on any noise
+per call of sample_reverse or vlb_estimate, which read it.  The weighted
+losses carry the exact per-step KL coefficients (training's weighted variant
+reads eps_kl_weight) and reject t = 1, where beta_tilde_1 = 0 leaves the
+weight undefined; training gives t = 1 the t = 2 weight.  vlb_estimate runs on any noise
 predictor (see samplers): a trained model or an exact oracle.
 """
 
@@ -52,8 +52,7 @@ def reverse_plan(sched, var=None):
     (beta_tilde_t when None; 0.0 for deterministic DDIM), and row 0 is NaN.  The sigma_t^2
     range check runs once over all rows; each row gives mu_tilde_from_eps's bytes at its t."""
     plan = np.full((sched.T + 1, 3), np.nan)
-    plan[1:] = np.column_stack(np.broadcast_arrays(
-        *_coefficients(sched, np.arange(1, sched.T + 1), var)))
+    plan[1:, 0], plan[1:, 1], plan[1:, 2] = _coefficients(sched, np.arange(1, sched.T + 1), var)
     return plan
 
 
