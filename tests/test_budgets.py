@@ -4,10 +4,9 @@ Each row of BUDGETS runs one workload at a tiny size (T = 20, 3 chains, 5 traini
 steps of 8 samples) under sys.setprofile and counts the calls that cost time on a
 real run: check_index, the network passes (predict and grad_x calls and the rows
 they take), the backward passes, the normal draws, and every call into a toydiff
-function.  The last
-count catches per-step Python work that no other count sees.  The counts do not
-move with the host, so a change that adds or removes work shows here as an
-edited row, whatever its timings did.  The "setup" row is the benchmark's
+function.  The last count catches per-step Python work that no other count sees.
+The counts do not move with the host, so a change that adds or removes work shows
+here as an edited row, whatever its timings did.  The "setup" row is the benchmark's
 narrow set-up: a T = 1000 schedule, the default mixture, one (64, 64) network
 and 2 mixture draws.  The calls column is CPython 3.11's: a comprehension is a
 call there, and 3.12 inlines it.
