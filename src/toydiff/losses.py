@@ -1,12 +1,14 @@
-"""Loss family: eps/x0 conversions, the reverse mean, weighted losses and the variational bound.
+"""Loss family: eps/x0 conversions, the reverse step, weighted losses and the variational bound.
 
-mu_tilde_from_eps is the one reverse mean, DDIM's sigma family in eps form at
-one t; reverse_plan holds its coefficients for every t of a chain, built once
-per call of sample_reverse or vlb_estimate, which read it.  The weighted
-losses carry the exact per-step KL coefficients (training's weighted variant
-reads eps_kl_weight) and reject t = 1, where beta_tilde_1 = 0 leaves the
-weight undefined; training gives t = 1 the t = 2 weight.  vlb_estimate runs on any noise
-predictor (see samplers): a trained model or an exact oracle.
+reverse_step is the one update of the reverse process, DDIM's sigma family
+x_{t-1} = (x_t - c_t eps) / sqrt(alpha_t) + sigma_t z, and reverse_coefficients
+the one place its coefficients are built and sigma_t^2 is range-checked, for
+one t or one t per row.  mu_tilde_from_eps is the step at sigma = 0, and
+samplers runs it on every chain.  The weighted losses carry the
+exact per-step KL coefficients (training's weighted variant reads
+eps_kl_weight) and reject t = 1, where beta_tilde_1 = 0 leaves the weight
+undefined; training gives t = 1 the t = 2 weight.  vlb_estimate runs on any
+noise predictor (see samplers): a trained model or an exact oracle.
 """
 
 from dataclasses import dataclass
@@ -26,34 +28,38 @@ def x0_from_eps(x_t, eps, t, sched):
             - np.sqrt(1.0 - ab) * np.asarray(eps)) / np.sqrt(ab)
 
 
-def _coefficients(sched, t, var):
-    """c_t, sqrt(alpha_t) and sigma_t of x_{t-1} = (x_t - c_t eps) / sqrt(alpha_t) + sigma_t z
-    at checked steps t (an int or an index array), sigma_t^2 = var (beta_tilde_t when None,
-    where c's sqrt(alpha) term is exactly 0.0 and the mean is the posterior mean).
-    ValueError unless every sigma_t^2 lies in [0, 1 - abar_{t-1}]."""
+def reverse_coefficients(sched, t, var=None):
+    """(c_t, sqrt(alpha_t), sigma_t) of x_{t-1} = (x_t - c_t eps) / sqrt(alpha_t) + sigma_t z
+    at sigma_t^2 = var (beta_tilde_t when None, where c's sqrt(alpha) term is exactly 0.0 and
+    the mean is the posterior mean).  An array t holds one step per row and gives (n, 1)
+    columns, as in forward.posterior_q.  ValueError unless every sigma_t^2 lies in
+    [0, 1 - abar_{t-1}]."""
+    t = check_t(t, sched)
+    t = t[:, None] if np.ndim(t) else t
     a, ab, bt = sched.alpha[t], sched.alpha_bar[t], sched.beta_tilde[t]
     v_max = 1.0 - sched.alpha_bar[t - 1]  # 1 - abar_{t-1}, the largest sigma_t^2
-    var = bt if var is None else var
+    var = bt if var is None else np.full_like(bt, var)  # one sigma_t^2 per step
     if not np.all((0.0 <= var) & (var <= v_max)):  # NaN fails too
         raise ValueError("sigma_t^2 must lie in [0, 1 - abar_{t-1}]")
     c = (1.0 - a) / np.sqrt(1.0 - ab) + np.sqrt(a) * (np.sqrt(v_max - bt) - np.sqrt(v_max - var))
     return c, np.sqrt(a), np.sqrt(var)
 
 
+def reverse_step(x_t, eps, coefficients, rng=None):
+    """The one reverse update (x_t - c eps) / sqrt_a + sigma z, z ~ N(0, I) from rng, for
+    coefficients (c, sqrt_a, sigma); sigma = 0 draws nothing.  It checks nothing: it is
+    the chain's hot path, and its public callers check their inputs."""
+    c, sqrt_a, sigma = coefficients
+    x = (x_t - c * eps) / sqrt_a
+    return x + sigma * rng.standard_normal(x.shape) if sigma > 0.0 else x
+
+
 def mu_tilde_from_eps(x_t, eps, t, sched, var=None):
-    """The reverse mean at a scalar t: the eps form of the mean of q_sigma(x_{t-1} | x_t, x0),
-    sigma_t^2 = var (beta_tilde_t when None, which gives the posterior mean)."""
-    c, sqrt_a, _ = _coefficients(sched, check_t(t, sched), var)
-    return (np.asarray(x_t, dtype=np.float64) - c * np.asarray(eps)) / sqrt_a
-
-
-def reverse_plan(sched, var=None):
-    """The chain's (T + 1, 3) plan: row t is (c_t, sqrt(alpha_t), sigma_t) at sigma_t^2 = var
-    (beta_tilde_t when None; 0.0 for deterministic DDIM), and row 0 is NaN.  The sigma_t^2
-    range check runs once over all rows; each row gives mu_tilde_from_eps's bytes at its t."""
-    plan = np.full((sched.T + 1, 3), np.nan)
-    plan[1:, 0], plan[1:, 1], plan[1:, 2] = _coefficients(sched, np.arange(1, sched.T + 1), var)
-    return plan
+    """The reverse mean, reverse_step at sigma = 0: the eps form of the mean of
+    q_sigma(x_{t-1} | x_t, x0), sigma_t^2 = var (beta_tilde_t when None, which gives the
+    posterior mean).  An array t holds one step per row."""
+    c, sqrt_a, _ = reverse_coefficients(sched, t, var)
+    return reverse_step(np.asarray(x_t, dtype=np.float64), np.asarray(eps), (c, sqrt_a, 0.0))
 
 
 def loss_x0_weighted(x0_hat, x0, t, sched):
@@ -108,7 +114,7 @@ def vlb_estimate(m, x0, sched, M, rng):
     The noise of t = 2..T is one (T - 1, M * d) normal draw, one row per t:
     the same stream as one (M * d,) draw per t, or M draws of size d.  The
     posteriors and KLs of those t are one call each over the rows, and the
-    reverse means of every t are one array operation on reverse_plan's rows.
+    reverse means of every t are one mu_tilde_from_eps call, a row per t.
     The M per-draw Gaussians are independent, so their KLs (and log densities)
     sum into the KL of the flattened (M * d,) Gaussians.
     """
@@ -117,7 +123,6 @@ def vlb_estimate(m, x0, sched, M, rng):
     if not np.all(np.isfinite(x0)):  # before any draw
         raise ValueError("x0 must be finite")
     x0s = np.tile(x0, M)  # the M draws side by side, flattened in C order
-    plan = reverse_plan(sched)
 
     ts = np.arange(2, sched.T + 1)
     rows = np.broadcast_to(x0s, (ts.size, x0s.size))  # row t - 2 holds the draws at t
@@ -128,7 +133,7 @@ def vlb_estimate(m, x0, sched, M, rng):
     eps = np.empty_like(xs)  # row t - 1 holds the noise predicted at t
     for t, x in enumerate(xs, start=1):
         eps[t - 1] = np.reshape(m.predict(x.reshape(M, -1), t, None, sched), -1)
-    mu = (xs - plan[1:, :1] * eps) / plan[1:, 1:2]  # row 0: x0_hat, the decoder's mean
+    mu = mu_tilde_from_eps(xs, eps, np.arange(1, sched.T + 1), sched)  # row 0: the decoder's mean
     Lt = kl_closed_form(post, DiagGaussian(mu[1:], post.var)) / M  # shares post's variance
 
     dec = DiagGaussian(mu[0], np.full_like(mu[0], sched.beta[1]))

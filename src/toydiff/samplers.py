@@ -1,27 +1,27 @@
 """Reverse processes: one Gaussian kernel per step, DDIM's sigma family.
 
 Each step runs a noise predictor m, any object with ``data_dim`` and
-``predict(x, t, y, sched)``, and draws x_{t-1} ~ N(mean, sigma_t^2 I), the
-mean from losses.mu_tilde_from_eps.  DDPM is the member sigma_t^2 =
-beta_tilde_t (beta_tilde_1 = 0 gates its noise off at t = 1), and DDIM's
-DDPM sigma policy runs the DDPM step; sigma = 0 is deterministic DDIM.
+``predict(x, t, y, sched)``, and then losses.reverse_step, the one update
+x_{t-1} = (x_t - c_t eps) / sqrt(alpha_t) + sigma_t z, on the coefficients of
+losses.reverse_coefficients.  DDPM is the member sigma_t^2 = beta_tilde_t
+(beta_tilde_1 = 0 gates its noise off at t = 1), and DDIM's DDPM sigma policy
+runs the DDPM step; sigma = 0 is deterministic DDIM.
 
 States may carry a leading batch axis; one chain is strictly sequential,
 but a batch of chains advances in lock-step from a single stream.
 sample_reverse is the one reverse-chain loop: guidance runs on it as a
 guided noise predictor m, so every sampler takes every guidance mode.  It
-builds one losses.reverse_plan per call, which checks every sigma_t^2 of the
-chain once, and each step reads its row: predict, then the mean and the draw
-of ddpm_step (or ddim_step at sigma = 0), byte for byte, with no per-step
-check of t or sigma_t^2 beyond the network's own.
+builds the coefficients of all T steps in one reverse_coefficients call,
+which checks every sigma_t^2 of the chain once, and each step is predict and
+reverse_step on its row: ddpm_step (or ddim_step at sigma = 0) byte for byte,
+with no per-step check of t or sigma_t^2 beyond the network's own.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import mu_tilde_from_eps, reverse_plan
+from .losses import reverse_coefficients, reverse_step
 from .schedules import check_count, check_t
 
 
@@ -40,25 +40,19 @@ class SamplerConfig:
         check_count(self.n_chains, 1, "n_chains")
 
 
-def _step(m, x_t, t, var, sched, y, rng):
-    """x_t -> x_{t-1} ~ N(mu_tilde_from_eps(var), var I), with no draw when var = 0."""
-    mean = mu_tilde_from_eps(x_t, m.predict(x_t, t, y, sched), t, sched, var)
-    return mean + math.sqrt(var) * rng.standard_normal(mean.shape) if var > 0.0 else mean
-
-
 def ddpm_step(m, x_t, t, sched, y=None, rng=None):
     """One DDPM step x_t -> x_{t-1}: the sigma family at sigma_t^2 = beta_tilde_t.
 
     beta_tilde_1 = 0 gates the noise off at t = 1.  DDIM's DDPM sigma policy
     runs this step, so it reproduces DDPM byte for byte.
     """
-    t = check_t(t, sched)
-    return _step(m, x_t, t, sched.beta_tilde[t], sched, y, rng)
+    t = check_t(t, sched)  # before m.predict: m may be any predictor
+    return reverse_step(x_t, m.predict(x_t, t, y, sched), reverse_coefficients(sched, t), rng)
 
 
 def ddim_sigma_ddpm_equiv(t, sched):
     """DDPM's sigma_t = sqrt(beta_tilde_t); the "ddpm" policy reproduces DDPM byte for byte."""
-    return math.sqrt(sched.beta_tilde[check_t(t, sched)])
+    return reverse_coefficients(sched, t)[2]
 
 
 def ddim_step(m, x_t, t, sigma_t, sched, y=None, rng=None):
@@ -67,9 +61,11 @@ def ddim_step(m, x_t, t, sigma_t, sched, y=None, rng=None):
     sigma_t = 0 draws nothing.  DDPM is the member sigma_t^2 = beta_tilde_t;
     the DDPM sigma policy runs ddpm_step, so it reproduces DDPM byte for byte.
     """
-    if not sigma_t >= 0.0:  # NaN fails too; mu_tilde_from_eps checks sigma_t^2
+    if not sigma_t >= 0.0:  # NaN fails too; reverse_coefficients checks sigma_t^2
         raise ValueError("sigma_t must be >= 0")
-    return _step(m, x_t, t, sigma_t ** 2, sched, y, rng)
+    t = check_t(t, sched)  # before m.predict: m may be any predictor
+    coefficients = reverse_coefficients(sched, t, sigma_t ** 2)
+    return reverse_step(x_t, m.predict(x_t, t, y, sched), coefficients, rng)
 
 
 def sample_reverse(m, cfg, sched, y=None, *, rng):
@@ -80,14 +76,12 @@ def sample_reverse(m, cfg, sched, y=None, *, rng):
     the endpoints at times T and 0 are kept (L = 2).
     """
     ddpm = cfg.kind == "ddpm" or cfg.sigma_policy == "ddpm"
-    plan = reverse_plan(sched, None if ddpm else 0.0).tolist()  # checks every sigma_t^2
+    ts = range(sched.T, 0, -1)
+    rows = np.hstack(reverse_coefficients(sched, np.array(ts), None if ddpm else 0.0)).tolist()
     x = rng.standard_normal((cfg.n_chains, m.data_dim))
     recorded = [x]  # the steps never write x in place, so no state needs a copy
-    for t in range(sched.T, 0, -1):
-        c, sqrt_a, sigma = plan[t]
-        x = (x - c * m.predict(x, t, y, sched)) / sqrt_a
-        if sigma > 0.0:  # sigma_1 = 0 at beta_tilde: the last DDPM step draws nothing
-            x = x + sigma * rng.standard_normal(x.shape)
+    for t, coefficients in zip(ts, rows):
+        x = reverse_step(x, m.predict(x, t, y, sched), coefficients, rng)
         if cfg.record or t == 1:
             recorded.append(x)
     return np.stack(recorded)

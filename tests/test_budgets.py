@@ -110,11 +110,11 @@ BUDGETS = {
     "train/weighted": (11, 0, 0, 0, 0, 5, 80, 116),
     "train/conditional": (15, 0, 0, 0, 0, 5, 80, 123),
     "train/classifier": (15, 0, 0, 0, 0, 5, 80, 118),
-    "sample/ddpm": (20, 20, 60, 0, 0, 0, 60, 246),
-    "sample/ddim": (20, 20, 60, 0, 0, 0, 3, 227),
-    "sample/cfg": (82, 40, 120, 0, 0, 0, 60, 549),
-    "sample/classifier": (62, 20, 60, 20, 60, 20, 60, 530),
-    "vlb": (24, 20, 60, 0, 0, 0, 60, 252),
+    "sample/ddpm": (21, 20, 60, 0, 0, 0, 60, 267),
+    "sample/ddim": (21, 20, 60, 0, 0, 0, 3, 248),
+    "sample/cfg": (83, 40, 120, 0, 0, 0, 60, 570),
+    "sample/classifier": (63, 20, 60, 20, 60, 20, 60, 551),
+    "vlb": (25, 20, 60, 0, 0, 0, 60, 255),
     "setup": (2, 0, 0, 0, 0, 0, 2, 53),
 }
 
@@ -136,7 +136,7 @@ def test_index_checks_per_training_step(kind, budget):
 
 
 @pytest.mark.parametrize("kind, budget", [
-    ("ddpm", 1),  # the features' t; the chain's sigma_t^2 check runs once, in its plan
+    ("ddpm", 1),  # the features' t; the chain's t and sigma_t^2 are checked once
     ("ddim", 1),  # the features' t
 ])
 def test_index_checks_per_sampler_step(kind, budget):
