@@ -3,8 +3,9 @@
 reverse_step is the one update of the reverse process, DDIM's sigma family
 x_{t-1} = (x_t - c_t eps) / sqrt(alpha_t) + sigma_t z, and reverse_coefficients
 the one place its coefficients are built and sigma_t^2 is range-checked, for
-one t or one t per row.  mu_tilde_from_eps is the step at sigma = 0, and
-samplers runs it on every chain.  The weighted losses carry the
+one t or one t per row.  x0_from_eps and mu_tilde_from_eps are the step at
+sigma = 0, and samplers runs it on every chain; the public functions check
+their inputs, reverse_step does not.  The weighted losses carry the
 exact per-step KL coefficients (training's weighted variant reads
 eps_kl_weight) and reject t = 1, where beta_tilde_1 = 0 leaves the weight
 undefined; training gives t = 1 the t = 2 weight.  vlb_estimate runs on any
@@ -20,12 +21,26 @@ from .gaussian import DiagGaussian, kl_closed_form, log_pdf
 from .schedules import check_count, check_t
 
 
+def _pair(a, b, t, rows=True):
+    """a and b as float64 arrays of one shape.  An array t needs (n, d) ones, one step per
+    row, and fails where rows is False: a weighted loss is one float at one t."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"the two arrays must have one shape, not {a.shape} and {b.shape}")
+    if np.ndim(t) and not rows:
+        raise ValueError("t must be one step: a weighted loss is one float")
+    if np.ndim(t) and (a.ndim != 2 or len(a) != np.size(t)):
+        raise ValueError(f"an array t needs (n, d) arrays with one row per step, not {a.shape}")
+    return a, b
+
+
 def x0_from_eps(x_t, eps, t, sched):
-    """Invert the direct-sampling identity: x0 = (x_t - sqrt(1-abar) eps) / sqrt(abar)."""
+    """Invert the direct-sampling identity: x0 = (x_t - sqrt(1-abar) eps) / sqrt(abar), which
+    is reverse_step's update on those two coefficients.  An array t holds one step per row."""
+    x_t, eps = _pair(x_t, eps, t)
     t = check_t(t, sched)
-    ab = sched.alpha_bar[t]
-    return (np.asarray(x_t, dtype=np.float64)
-            - np.sqrt(1.0 - ab) * np.asarray(eps)) / np.sqrt(ab)
+    ab = sched.alpha_bar[t[:, None] if np.ndim(t) else t]
+    return reverse_step(x_t, eps, (np.sqrt(1.0 - ab), np.sqrt(ab), 0.0))
 
 
 def reverse_coefficients(sched, t, var=None):
@@ -58,17 +73,19 @@ def mu_tilde_from_eps(x_t, eps, t, sched, var=None):
     """The reverse mean, reverse_step at sigma = 0: the eps form of the mean of
     q_sigma(x_{t-1} | x_t, x0), sigma_t^2 = var (beta_tilde_t when None, which gives the
     posterior mean).  An array t holds one step per row."""
+    x_t, eps = _pair(x_t, eps, t)
     c, sqrt_a, _ = reverse_coefficients(sched, t, var)
-    return reverse_step(np.asarray(x_t, dtype=np.float64), np.asarray(eps), (c, sqrt_a, 0.0))
+    return reverse_step(x_t, eps, (c, sqrt_a, 0.0))
 
 
 def loss_x0_weighted(x0_hat, x0, t, sched):
     """KL-derived loss on the x0 prediction, weight abar_{t-1} beta^2 / (2 bt (1-abar)^2)."""
+    x0_hat, x0 = _pair(x0_hat, x0, t, rows=False)
     t = check_t(t, sched, lo=2)  # beta_tilde_1 = 0 leaves the weight undefined at t = 1
     bt, b, ab, ab_prev = (sched.beta_tilde[t], sched.beta[t],
                           sched.alpha_bar[t], sched.alpha_bar[t - 1])
     w = (1.0 / (2.0 * bt)) * (ab_prev * b ** 2) / (1.0 - ab) ** 2
-    return float(w * np.sum((np.asarray(x0_hat) - np.asarray(x0)) ** 2))
+    return float(w * np.sum((x0_hat - x0) ** 2))
 
 
 def eps_kl_weight(t, sched):
@@ -80,8 +97,8 @@ def eps_kl_weight(t, sched):
 
 def loss_eps_weighted(eps_hat, eps, t, sched):
     """KL-derived loss on the noise prediction, weighted by eps_kl_weight."""
-    w = eps_kl_weight(t, sched)
-    return float(w * np.sum((np.asarray(eps_hat) - np.asarray(eps)) ** 2))
+    eps_hat, eps = _pair(eps_hat, eps, t, rows=False)
+    return float(eps_kl_weight(t, sched) * np.sum((eps_hat - eps) ** 2))
 
 
 @dataclass(frozen=True)

@@ -40,14 +40,26 @@ class SamplerConfig:
         check_count(self.n_chains, 1, "n_chains")
 
 
+def _one_step(sched, t, var, rng):
+    """The checked t and its coefficients, before m.predict runs (m may be any predictor);
+    ValueError unless t is one step, and for sigma_t > 0 without an rng."""
+    t = check_t(t, sched)
+    if np.ndim(t):
+        raise ValueError("t must be one step: every chain of a batch moves at one t")
+    coefficients = reverse_coefficients(sched, t, var)
+    if coefficients[2] > 0.0 and rng is None:
+        raise ValueError("rng is required when sigma_t > 0")
+    return t, coefficients
+
+
 def ddpm_step(m, x_t, t, sched, y=None, rng=None):
     """One DDPM step x_t -> x_{t-1}: the sigma family at sigma_t^2 = beta_tilde_t.
 
     beta_tilde_1 = 0 gates the noise off at t = 1.  DDIM's DDPM sigma policy
     runs this step, so it reproduces DDPM byte for byte.
     """
-    t = check_t(t, sched)  # before m.predict: m may be any predictor
-    return reverse_step(x_t, m.predict(x_t, t, y, sched), reverse_coefficients(sched, t), rng)
+    t, coefficients = _one_step(sched, t, None, rng)
+    return reverse_step(x_t, m.predict(x_t, t, y, sched), coefficients, rng)
 
 
 def ddim_sigma_ddpm_equiv(t, sched):
@@ -61,10 +73,9 @@ def ddim_step(m, x_t, t, sigma_t, sched, y=None, rng=None):
     sigma_t = 0 draws nothing.  DDPM is the member sigma_t^2 = beta_tilde_t;
     the DDPM sigma policy runs ddpm_step, so it reproduces DDPM byte for byte.
     """
-    if not sigma_t >= 0.0:  # NaN fails too; reverse_coefficients checks sigma_t^2
-        raise ValueError("sigma_t must be >= 0")
-    t = check_t(t, sched)  # before m.predict: m may be any predictor
-    coefficients = reverse_coefficients(sched, t, sigma_t ** 2)
+    if not 0.0 <= sigma_t <= 1.0:  # NaN fails too; the square of a larger one could overflow
+        raise ValueError("sigma_t must lie in [0, 1]")  # reverse_coefficients checks sigma_t^2
+    t, coefficients = _one_step(sched, t, sigma_t ** 2, rng)
     return reverse_step(x_t, m.predict(x_t, t, y, sched), coefficients, rng)
 
 

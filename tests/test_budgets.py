@@ -3,12 +3,14 @@
 Each row of BUDGETS runs one workload at a tiny size (T = 20, 3 chains, 5 training
 steps of 8 samples) under sys.setprofile and counts the calls that cost time on a
 real run: check_index, the network passes (predict and grad_x calls and the rows
-they take), the backward passes, the normal draws, and every call into a toydiff
+they take), the backward passes, the normal draws (of the run's rng and of every
+RngState made during the run, as the CLI makes its own), and every call into a toydiff
 function.  The last count catches per-step Python work that no other count sees.
 The counts do not move with the host, so a change that adds or removes work shows
 here as an edited row, whatever its timings did.  The "setup" row is the benchmark's
 narrow set-up: a T = 1000 schedule, the default mixture, one (64, 64) network
-and 2 mixture draws.  The calls column is CPython 3.11's: a comprehension is a
+and 2 mixture draws.  The "cli" row is a train, sample, vlb and hist round trip
+through run_cli at T = 20, run in a temporary directory.  The calls column is CPython 3.11's: a comprehension is a
 call there, and 3.12 inlines it.
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 import toydiff
-from toydiff import forward, guidance, losses, samplers, schedules, training
+from toydiff import cli, forward, guidance, losses, samplers, schedules, training
 from toydiff.model import Classifier, NoisePredictor, init_classifier, init_noise_predictor
 from toydiff.rng import RngState
 from toydiff.schedules import make_linear_schedule
@@ -38,11 +40,14 @@ def _counts(run):
              NoisePredictor.predict.__code__: "predict", Classifier.grad_x.__code__: "grad_x",
              NoisePredictor._backward.__code__: "_backward"}
     c = Counter({k: 0 for k in COLUMNS})
+    states = []  # every RngState made during the run
 
     def profile(frame, event, arg):
         if event != "call" or not frame.f_code.co_filename.startswith(PACKAGE):
             return
         c["calls"] += 1
+        if frame.f_code is RngState.__init__.__code__:
+            states.append(frame.f_locals["self"])
         name = codes.get(frame.f_code)
         if name is not None:
             c[name] += 1
@@ -56,7 +61,7 @@ def _counts(run):
         run(rng)
     finally:
         sys.setprofile(old)
-    c["normal_draws"] = rng.normal_draws
+    c["normal_draws"] = rng.normal_draws + sum(state.normal_draws for state in states)
     return dict(c)
 
 
@@ -91,6 +96,15 @@ def _setup(rng):
     forward.gmm_sample(data, rng, size=2)
 
 
+def _cli(rng):
+    for argv in (["train", "--T", "20", "--steps", "5", "--batch", "8", "--hidden", "4",
+                  "--out", "m.ckpt"],
+                 ["sample", "--checkpoint", "m.ckpt", "--n", "3", "--out", "samples.csv"],
+                 ["vlb", "--checkpoint", "m.ckpt", "--x0", "0.5", "--M", "3", "--out", "vlb.csv"],
+                 ["hist", "--input", "samples.csv", "--bins", "5", "--out", "hist.csv"]):
+        assert cli.run_cli(argv[:1] + ["--seed", "7"] + argv[1:]) == 0, argv
+
+
 WORKLOADS = {
     "train/simple": lambda: _train("simple"),
     "train/weighted": lambda: _train("weighted"),
@@ -102,6 +116,7 @@ WORKLOADS = {
     "sample/classifier": lambda: _sample("ddpm", mode="classifier", scale=1.5, target=1),
     "vlb": _vlb,
     "setup": lambda: _setup,
+    "cli": lambda: _cli,
 }
 
 # check_index, predict, predict_rows, grad_x, grad_x_rows, _backward, normal_draws, calls
@@ -114,13 +129,15 @@ BUDGETS = {
     "sample/ddim": (21, 20, 60, 0, 0, 0, 3, 248),
     "sample/cfg": (83, 40, 120, 0, 0, 0, 60, 570),
     "sample/classifier": (63, 20, 60, 20, 60, 20, 60, 551),
-    "vlb": (25, 20, 60, 0, 0, 0, 60, 255),
+    "vlb": (25, 20, 60, 0, 0, 0, 60, 256),
     "setup": (2, 0, 0, 0, 0, 0, 2, 53),
+    "cli": (58, 40, 120, 0, 0, 5, 200, 1107),
 }
 
 
 @pytest.mark.parametrize("name", list(WORKLOADS))
-def test_work_budget(name):
+def test_work_budget(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the cli row writes its files here
     assert _counts(WORKLOADS[name]()) == dict(zip(COLUMNS, BUDGETS[name]))
 
 

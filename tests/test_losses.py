@@ -111,6 +111,33 @@ def test_mu_tilde_t1_equals_x0_recovery():
                        x0_from_eps(xt, eps, 1, s), rtol=1e-14)
 
 
+def test_an_array_t_is_one_step_per_row():
+    # t = [2, 3] on two (2, 1) rows gives two (1,) rows, each the scalar call bit for bit
+    s = make_linear_schedule(10, 0.05, 0.2)
+    xt, eps, ts = np.array([[0.8], [-1.3]]), np.array([[-0.4], [0.9]]), np.array([2, 3])
+    for f in (x0_from_eps, mu_tilde_from_eps,
+              lambda x, e, t, s: mu_tilde_from_eps(x, e, t, s, var=0.0)):
+        out = f(xt, eps, ts, s)
+        assert out.shape == (2, 1)
+        for i, t in enumerate(ts):
+            assert out[i].tobytes() == f(xt[i], eps[i], t, s).tobytes()
+    for bad in (np.array([0.8, -1.3]), np.array([[[0.8]], [[-1.3]]]), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="one row per step"):
+            x0_from_eps(bad, bad, ts, s)
+
+
+def test_the_public_pairs_and_losses_give_the_package_messages():
+    # a mismatched pair is not broadcast, and a weighted loss is one float at one t
+    s = make_linear_schedule(10, 0.05, 0.2)
+    x, e = np.zeros((3, 1)), np.zeros(3)
+    for f in (x0_from_eps, mu_tilde_from_eps, loss_eps_weighted, loss_x0_weighted):
+        with pytest.raises(ValueError, match="one shape"):
+            f(x, e, 4, s)
+    for f in (loss_eps_weighted, loss_x0_weighted):
+        with pytest.raises(ValueError, match="one step"):
+            f(x, x, np.array([2, 3, 4]), s)
+
+
 @pytest.mark.parametrize("s", (make_linear_schedule(1000), make_linear_schedule(100, 1e-3, 0.2),
                                make_cosine_schedule(50)), ids=("linear1000", "desk", "cosine50"))
 @pytest.mark.parametrize("var", (None, 0.0))

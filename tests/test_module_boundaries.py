@@ -8,9 +8,13 @@ and on an attribute read `other._x` (or `Imported._x`) where `other` or
 `Imported` was imported from another toydiff module.  A second check fails
 if a module other than `schedules` tests integrality itself instead of
 calling `check_index` or `check_count`.  A third fails if a module other
-than `losses` (whose `mu_tilde_from_eps` is the one reverse mean) and
-`forward` (whose `posterior_q` is its x0-form reference) reads abar_{t-1},
-the term every update formula of the reverse process needs.
+than `losses` (whose `reverse_step` is the one update of the reverse
+process, on the coefficients of `reverse_coefficients`) and `forward`
+(whose `posterior_q` is its x0-form reference) reads abar_{t-1}, the term
+every update formula of the reverse process needs.  A fourth fails if a
+module other than `schedules`, `forward` and `losses` reads a schedule's
+`alpha`, `beta` or `beta_tilde`, the arrays every reverse coefficient is
+built from; the others read `alpha_bar` and `T` at most.
 """
 
 import ast
@@ -72,4 +76,16 @@ def test_only_losses_and_forward_read_the_previous_alpha_bar():
              if path.name not in ("losses.py", "forward.py")
              for i, line in enumerate(path.read_text().splitlines(), 1)
              if any(pattern in line for pattern in PREVIOUS_ABAR)]
+    assert found == []
+
+
+SCHEDULE_ARRAYS = {"alpha", "beta", "beta_tilde"}
+
+
+def test_only_schedules_forward_and_losses_read_the_per_step_schedule_arrays():
+    found = [f"{path.name}:{node.lineno} reads .{node.attr}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name not in ("schedules.py", "forward.py", "losses.py")
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in SCHEDULE_ARRAYS]
     assert found == []

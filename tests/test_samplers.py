@@ -100,9 +100,29 @@ def test_ddim_ddpm_equivalence_mean_and_spread():
 def test_ddim_step_rejects_oversized_sigma():
     t = 10
     too_big = math.sqrt(1 - SCHED.alpha_bar[t - 1]) * 1.01
-    for bad in (too_big, -0.1, math.nan):
+    for bad in (too_big, -0.1, math.nan, 1e200):  # 1e200 ** 2 would overflow
         with pytest.raises(ValueError):
             ddim_step(MODEL, np.array([[0.0]]), t, bad, SCHED)
+
+
+def test_the_public_steps_check_t_and_rng_before_the_predictor():
+    class Refuses:  # a predictor the checks must stop before
+        data_dim = 1
+
+        def predict(self, x, t, y, sched):
+            raise AssertionError("predict ran")
+
+    x = np.array([[0.3]])
+    for step in (lambda t, rng: ddpm_step(Refuses(), x, t, SCHED, rng=rng),
+                 lambda t, rng: ddim_step(Refuses(), x, t, 0.1, SCHED, rng=rng)):
+        with pytest.raises(ValueError, match="rng is required"):
+            step(5, None)
+        with pytest.raises(ValueError, match="one step"):
+            step(np.array([5, 6]), RngState(0))
+        with pytest.raises(ValueError, match="out of range"):
+            step(SCHED.T + 1, RngState(0))
+    # sigma_1 = 0 for both, so neither needs an rng at t = 1
+    assert np.array_equal(ddpm_step(MODEL, x, 1, SCHED), ddim_step(MODEL, x, 1, 0.0, SCHED))
 
 
 def test_ddim_zero_noise_oracle_collapses_to_clean_point():
