@@ -34,15 +34,6 @@ def _pair(a, b, t, rows=True):
     return a, b
 
 
-def x0_from_eps(x_t, eps, t, sched):
-    """Invert the direct-sampling identity: x0 = (x_t - sqrt(1-abar) eps) / sqrt(abar), which
-    is reverse_step's update on those two coefficients.  An array t holds one step per row."""
-    x_t, eps = _pair(x_t, eps, t)
-    t = check_t(t, sched)
-    ab = sched.alpha_bar[t[:, None] if np.ndim(t) else t]
-    return reverse_step(x_t, eps, (np.sqrt(1.0 - ab), np.sqrt(ab), 0.0))
-
-
 def reverse_coefficients(sched, t, var=None):
     """(c_t, sqrt(alpha_t), sigma_t) of x_{t-1} = (x_t - c_t eps) / sqrt(alpha_t) + sigma_t z
     at sigma_t^2 = var (beta_tilde_t when None, where c's sqrt(alpha) term is exactly 0.0 and
@@ -67,6 +58,15 @@ def reverse_step(x_t, eps, coefficients, rng=None):
     c, sqrt_a, sigma = coefficients
     x = (x_t - c * eps) / sqrt_a
     return x + sigma * rng.standard_normal(x.shape) if sigma > 0.0 else x
+
+
+def x0_from_eps(x_t, eps, t, sched):
+    """Invert the direct-sampling identity: x0 = (x_t - sqrt(1-abar) eps) / sqrt(abar), which
+    is reverse_step's update on those two coefficients.  An array t holds one step per row."""
+    x_t, eps = _pair(x_t, eps, t)
+    t = check_t(t, sched)
+    ab = sched.alpha_bar[t[:, None] if np.ndim(t) else t]
+    return reverse_step(x_t, eps, (np.sqrt(1.0 - ab), np.sqrt(ab), 0.0))
 
 
 def mu_tilde_from_eps(x_t, eps, t, sched, var=None):

@@ -10,8 +10,8 @@ The counts do not move with the host, so a change that adds or removes work show
 here as an edited row, whatever its timings did.  The "setup" row is the benchmark's
 narrow set-up: a T = 1000 schedule, the default mixture, one (64, 64) network
 and 2 mixture draws.  The "cli" row is a train, sample, vlb and hist round trip
-through run_cli at T = 20, run in a temporary directory.  The calls column is CPython 3.11's: a comprehension is a
-call there, and 3.12 inlines it.
+through run_cli at T = 20, run in a temporary directory.  The calls column is
+CPython 3.11's: a comprehension is a call there, and 3.12 inlines it.
 """
 
 import sys
