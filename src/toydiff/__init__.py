@@ -3,9 +3,9 @@
 from .rng import RngState
 from .schedules import Schedule, make_linear_schedule, make_cosine_schedule
 from .gaussian import DiagGaussian, log_pdf, sample, kl_closed_form, kl_mc
-from .forward import (Trajectory, GmmSpec, default_mixture, forward_step,
-                      marginal_q, sample_xt, posterior_q, simulate_forward,
-                      gmm_sample, gmm_log_pdf)
+from .forward import (GmmSpec, default_mixture, forward_step, marginal_q,
+                      sample_xt, posterior_q, simulate_forward, gmm_sample,
+                      gmm_log_pdf)
 from .model import (NoisePredictor, Classifier, init_noise_predictor,
                     init_classifier)
 from .losses import (VlbReport, x0_from_eps, mu_tilde_from_eps,

@@ -175,8 +175,8 @@ def _cmd_forward(args, rng):
     cols = ["chain", "t"] + [f"dim{i}" for i in range(len(x0))]
     rows = []
     for chain in range(args.n):
-        tr = forward.simulate_forward(x0, sched, rng.spawn(chain))
-        rows.extend((chain, int(t), *s) for t, s in zip(tr.times, tr.states))
+        states = forward.simulate_forward(x0, sched, rng.spawn(chain))
+        rows.extend((chain, t, *s) for t, s in enumerate(states))
     return cols, rows
 
 

@@ -2,12 +2,13 @@
 
 Implements the single-step kernel q(x_t | x_{t-1}), the closed-form
 marginal q(x_t | x_0), direct sampling of x_t together with the noise
-that produced it, the Bayes posterior q(x_{t-1} | x_t, x_0), and full
-forward-trajectory simulation.  Also houses the Gaussian-mixture data
-distribution used as the toy target.
+that produced it, the Bayes posterior q(x_{t-1} | x_t, x_0), and the
+forward chain as one (T + 1, d) array of states, row t = x_t.  Also
+houses the Gaussian-mixture data distribution used as the toy target.
 
 State vectors may carry a leading batch axis (N, d); all kernels
-broadcast over it.
+broadcast over it.  Each kernel takes a scalar t or, through
+schedules.check_rows, an array t of one step per row of (N, d) states.
 """
 
 from dataclasses import dataclass
@@ -15,19 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import DiagGaussian, log_pdf
-from .schedules import NO_MAX, check_index, check_t
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Ordered (t, x_t) states of one chain; times strictly monotone."""
-    times: np.ndarray    # (L,)
-    states: np.ndarray   # (L, d)
-
-    def __post_init__(self):
-        d = np.diff(self.times)
-        if len(d) and not (np.all(d > 0) or np.all(d < 0)):
-            raise ValueError("trajectory times must be strictly monotone")
+from .schedules import NO_MAX, check_index, check_rows
 
 
 @dataclass(frozen=True)
@@ -77,8 +66,7 @@ def default_mixture():
 
 def forward_step(x_prev, t, sched, rng):
     """One noising step: sqrt(alpha_t) x_{t-1} + sqrt(beta_t) z."""
-    t = check_t(t, sched)
-    x_prev = np.asarray(x_prev, dtype=np.float64)
+    t, x_prev = check_rows(t, sched, x_prev)
     z = rng.standard_normal(x_prev.shape)
     return np.sqrt(sched.alpha[t]) * x_prev + np.sqrt(sched.beta[t]) * z
 
@@ -88,8 +76,7 @@ def marginal_q(x0, t, sched):
 
     t = 0 returns the point mass at x0.
     """
-    t = check_t(t, sched, lo=0)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+    t, x0 = check_rows(t, sched, x0, lo=0)
     ab = sched.alpha_bar[t]
     return DiagGaussian(np.sqrt(ab) * x0, np.full_like(x0, 1.0 - ab))
 
@@ -100,11 +87,9 @@ def sample_xt(x0, t, sched, rng):
     The pair satisfies x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps exactly.
     An array t, as the training loop passes, holds one step per row of x0.
     """
-    t = check_t(t, sched)
-    x0 = np.asarray(x0, dtype=np.float64)
+    t, x0 = check_rows(t, sched, x0)
     eps = rng.standard_normal(x0.shape)
     ab = sched.alpha_bar[t]
-    ab = ab[:, None] if ab.ndim else ab
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps, eps
 
 
@@ -114,10 +99,7 @@ def posterior_q(x_t, x0, t, sched):
     At t = 1 this collapses to the point mass at x0.  An array t, as
     vlb_estimate passes, holds one step per row of x_t and x0.
     """
-    t = check_t(t, sched)
-    t = t[:, None] if np.ndim(t) else t  # a column: every coefficient below is one per row
-    x_t = np.atleast_1d(np.asarray(x_t, dtype=np.float64))
-    x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+    t, x_t, x0 = check_rows(t, sched, x_t, x0)
     ab_prev, ab = sched.alpha_bar[t - 1], sched.alpha_bar[t]
     c0 = np.sqrt(ab_prev) * sched.beta[t] / (1.0 - ab)
     ct = np.sqrt(sched.alpha[t]) * (1.0 - ab_prev) / (1.0 - ab)
@@ -126,13 +108,14 @@ def posterior_q(x_t, x0, t, sched):
 
 
 def simulate_forward(x0, sched, rng):
-    """Run the forward chain from (0, x0) to (T, x_T) by repeated steps."""
+    """The forward chain x_0, ..., x_T by repeated steps, as one (T + 1, d) array with row
+    t = x_t: a plain array of states, as sample_reverse returns its chains."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     states = np.empty((sched.T + 1,) + x0.shape)
     states[0] = x0
     for t in range(1, sched.T + 1):
         states[t] = forward_step(states[t - 1], t, sched, rng)
-    return Trajectory(times=np.arange(sched.T + 1), states=states)
+    return states
 
 
 def gmm_sample(spec, rng, size):

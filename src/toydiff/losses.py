@@ -3,9 +3,10 @@
 reverse_step is the one update of the reverse process, DDIM's sigma family
 x_{t-1} = (x_t - c_t eps) / sqrt(alpha_t) + sigma_t z, and reverse_coefficients
 the one place its coefficients are built and sigma_t^2 is range-checked, for
-one t or one t per row.  x0_from_eps and mu_tilde_from_eps are the step at
-sigma = 0, and samplers runs it on every chain; the public functions check
-their inputs, reverse_step does not.  The weighted losses carry the
+one t or one t per row (schedules.check_rows).  x0_from_eps and mu_tilde_from_eps
+(the posterior mean) are the step at sigma = 0, and samplers and vlb_estimate run
+it on their own rows; the public functions check their inputs, reverse_step does
+not.  The weighted losses carry the
 exact per-step KL coefficients (training's weighted variant reads
 eps_kl_weight) and reject t = 1, where beta_tilde_1 = 0 leaves the weight
 undefined; training gives t = 1 the t = 2 weight.  vlb_estimate runs on any
@@ -18,20 +19,7 @@ import numpy as np
 
 from . import forward
 from .gaussian import DiagGaussian, kl_closed_form, log_pdf
-from .schedules import check_count, check_t
-
-
-def _pair(a, b, t, rows=True):
-    """a and b as float64 arrays of one shape.  An array t needs (n, d) ones, one step per
-    row, and fails where rows is False: a weighted loss is one float at one t."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"the two arrays must have one shape, not {a.shape} and {b.shape}")
-    if np.ndim(t) and not rows:
-        raise ValueError("t must be one step: a weighted loss is one float")
-    if np.ndim(t) and (a.ndim != 2 or len(a) != np.size(t)):
-        raise ValueError(f"an array t needs (n, d) arrays with one row per step, not {a.shape}")
-    return a, b
+from .schedules import check_count, check_rows, check_t
 
 
 def reverse_coefficients(sched, t, var=None):
@@ -40,8 +28,7 @@ def reverse_coefficients(sched, t, var=None):
     the mean is the posterior mean).  An array t holds one step per row and gives (n, 1)
     columns, as in forward.posterior_q.  ValueError unless every sigma_t^2 lies in
     [0, 1 - abar_{t-1}]."""
-    t = check_t(t, sched)
-    t = t[:, None] if np.ndim(t) else t
+    t, = check_rows(t, sched)
     a, ab, bt = sched.alpha[t], sched.alpha_bar[t], sched.beta_tilde[t]
     v_max = 1.0 - sched.alpha_bar[t - 1]  # 1 - abar_{t-1}, the largest sigma_t^2
     var = bt if var is None else np.full_like(bt, var)  # one sigma_t^2 per step
@@ -63,9 +50,8 @@ def reverse_step(x_t, eps, coefficients, rng=None):
 def x0_from_eps(x_t, eps, t, sched):
     """Invert the direct-sampling identity: x0 = (x_t - sqrt(1-abar) eps) / sqrt(abar), which
     is reverse_step's update on those two coefficients.  An array t holds one step per row."""
-    x_t, eps = _pair(x_t, eps, t)
-    t = check_t(t, sched)
-    ab = sched.alpha_bar[t[:, None] if np.ndim(t) else t]
+    t, x_t, eps = check_rows(t, sched, x_t, eps)
+    ab = sched.alpha_bar[t]
     return reverse_step(x_t, eps, (np.sqrt(1.0 - ab), np.sqrt(ab), 0.0))
 
 
@@ -73,15 +59,16 @@ def mu_tilde_from_eps(x_t, eps, t, sched, var=None):
     """The reverse mean, reverse_step at sigma = 0: the eps form of the mean of
     q_sigma(x_{t-1} | x_t, x0), sigma_t^2 = var (beta_tilde_t when None, which gives the
     posterior mean).  An array t holds one step per row."""
-    x_t, eps = _pair(x_t, eps, t)
+    _, x_t, eps = check_rows(t, sched, x_t, eps)
     c, sqrt_a, _ = reverse_coefficients(sched, t, var)
     return reverse_step(x_t, eps, (c, sqrt_a, 0.0))
 
 
 def loss_x0_weighted(x0_hat, x0, t, sched):
     """KL-derived loss on the x0 prediction, weight abar_{t-1} beta^2 / (2 bt (1-abar)^2)."""
-    x0_hat, x0 = _pair(x0_hat, x0, t, rows=False)
-    t = check_t(t, sched, lo=2)  # beta_tilde_1 = 0 leaves the weight undefined at t = 1
+    t, x0_hat, x0 = check_rows(t, sched, x0_hat, x0, lo=2)  # beta_tilde_1 = 0: no weight at 1
+    if np.ndim(t):
+        raise ValueError("t must be one step: a weighted loss is one float")
     bt, b, ab, ab_prev = (sched.beta_tilde[t], sched.beta[t],
                           sched.alpha_bar[t], sched.alpha_bar[t - 1])
     w = (1.0 / (2.0 * bt)) * (ab_prev * b ** 2) / (1.0 - ab) ** 2
@@ -97,7 +84,9 @@ def eps_kl_weight(t, sched):
 
 def loss_eps_weighted(eps_hat, eps, t, sched):
     """KL-derived loss on the noise prediction, weighted by eps_kl_weight."""
-    eps_hat, eps = _pair(eps_hat, eps, t, rows=False)
+    t, eps_hat, eps = check_rows(t, sched, eps_hat, eps, lo=2)
+    if np.ndim(t):
+        raise ValueError("t must be one step: a weighted loss is one float")
     return float(eps_kl_weight(t, sched) * np.sum((eps_hat - eps) ** 2))
 
 
@@ -131,7 +120,8 @@ def vlb_estimate(m, x0, sched, M, rng):
     The noise of t = 2..T is one (T - 1, M * d) normal draw, one row per t:
     the same stream as one (M * d,) draw per t, or M draws of size d.  The
     posteriors and KLs of those t are one call each over the rows, and the
-    reverse means of every t are one mu_tilde_from_eps call, a row per t.
+    reverse means of every t are one reverse_step on the column of
+    reverse_coefficients over t = 1..T, a row per t.
     The M per-draw Gaussians are independent, so their KLs (and log densities)
     sum into the KL of the flattened (M * d,) Gaussians.
     """
@@ -141,16 +131,17 @@ def vlb_estimate(m, x0, sched, M, rng):
         raise ValueError("x0 must be finite")
     x0s = np.tile(x0, M)  # the M draws side by side, flattened in C order
 
-    ts = np.arange(2, sched.T + 1)
-    rows = np.broadcast_to(x0s, (ts.size, x0s.size))  # row t - 2 holds the draws at t
-    x_t, _ = forward.sample_xt(rows, ts, sched, rng)
-    post = forward.posterior_q(x_t, rows, ts, sched)
+    ts = np.arange(1, sched.T + 1)
+    rows = np.broadcast_to(x0s, (sched.T - 1, x0s.size))  # row t - 2 holds the draws at t
+    x_t, _ = forward.sample_xt(rows, ts[1:], sched, rng)
+    post = forward.posterior_q(x_t, rows, ts[1:], sched)
     x1, _ = forward.sample_xt(x0s, 1, sched, rng)
     xs = np.vstack((x1, x_t))  # row t - 1 holds the draws at t
     eps = np.empty_like(xs)  # row t - 1 holds the noise predicted at t
     for t, x in enumerate(xs, start=1):
         eps[t - 1] = np.reshape(m.predict(x.reshape(M, -1), t, None, sched), -1)
-    mu = mu_tilde_from_eps(xs, eps, np.arange(1, sched.T + 1), sched)  # row 0: the decoder's mean
+    c, sqrt_a, _ = reverse_coefficients(sched, ts)  # the posterior mean's, one row per t
+    mu = reverse_step(xs, eps, (c, sqrt_a, 0.0))  # row 0: the decoder's mean
     Lt = kl_closed_form(post, DiagGaussian(mu[1:], post.var)) / M  # shares post's variance
 
     dec = DiagGaussian(mu[0], np.full_like(mu[0], sched.beta[1]))

@@ -7,7 +7,8 @@ that index t means step t; index 0 of beta/alpha/beta_tilde is unused
 (set to NaN) to keep the 1-based convention honest.
 
 Schedules are immutable after construction; consumers only read.
-check_index and check_count below are the package's one judge of integer inputs.
+check_index and check_count below are the package's one judge of integer inputs,
+and check_rows its one reading of an array t as one step per row.
 """
 
 import inspect
@@ -112,6 +113,27 @@ def check_index(v, lo, hi, name):
 def check_t(t, sched, lo=1):
     """The step index t in [lo, sched.T], as check_index returns it."""
     return check_index(t, lo, sched.T, "t")
+
+
+def check_rows(t, sched, *arrays, lo=1):
+    """(t, *arrays): t checked as check_t checks it and the arrays as float64 arrays of one
+    shape.  An array t holds one step per row: it must be 1-D, the arrays (n, d) with
+    n = len(t), and it comes back as an (n, 1) column, so that every schedule entry it
+    indexes is one per row.  The one place a caller's array t becomes a column."""
+    t = check_index(t, lo, sched.T, "t")
+    out = [t]
+    for a in arrays:  # a loop, not a comprehension: no call per array
+        out.append(np.asarray(a, dtype=np.float64))
+        if out[-1].shape != out[1].shape:
+            raise ValueError(f"the arrays must have one shape, not {out[1].shape} and"
+                             f" {out[-1].shape}")
+    if np.ndim(t):
+        shape = out[1].shape if arrays else (len(t), 1)
+        if t.ndim != 1 or len(shape) != 2 or shape[0] != len(t):
+            raise ValueError(f"an array t needs shape (n,) and (n, d) arrays with one row per step,"
+                             f" not {t.shape} and {shape}")
+        out[0] = t[:, None]
+    return tuple(out)
 
 
 def check_count(n, lo, name):

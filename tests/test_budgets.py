@@ -129,9 +129,9 @@ BUDGETS = {
     "sample/ddim": (21, 20, 60, 0, 0, 0, 3, 248),
     "sample/cfg": (83, 40, 120, 0, 0, 0, 60, 570),
     "sample/classifier": (63, 20, 60, 20, 60, 20, 60, 551),
-    "vlb": (25, 20, 60, 0, 0, 0, 60, 256),
+    "vlb": (25, 20, 60, 0, 0, 0, 60, 254),
     "setup": (2, 0, 0, 0, 0, 0, 2, 53),
-    "cli": (58, 40, 120, 0, 0, 5, 200, 1107),
+    "cli": (58, 40, 120, 0, 0, 5, 200, 1105),
 }
 
 

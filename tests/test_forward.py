@@ -3,17 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from toydiff.forward import (GmmSpec, Trajectory, default_mixture, forward_step,
+from toydiff.forward import (GmmSpec, default_mixture, forward_step,
                              gmm_log_pdf, gmm_sample, marginal_q, posterior_q,
                              sample_xt, simulate_forward)
 from toydiff.gaussian import log_pdf
 from toydiff.rng import RngState
 from toydiff.schedules import make_linear_schedule
-
-
-def test_trajectory_rejects_nonmonotone_times():
-    with pytest.raises(ValueError):
-        Trajectory(times=np.array([0, 2, 1]), states=np.zeros((3, 1)))
 
 
 def test_gmm_spec_validation():
@@ -173,10 +168,13 @@ def test_posterior_q_coefficients_sum_near_one_for_equal_args():
 
 def test_simulate_forward_shape_and_start():
     s = make_linear_schedule(10, 1e-3, 0.05)
-    traj = simulate_forward([1.0], s, RngState(5))
-    assert traj.states.shape == (11, 1)
-    assert traj.states[0, 0] == 1.0
-    assert np.array_equal(traj.times, np.arange(11))
+    states = simulate_forward([1.0], s, RngState(5))  # row t holds x_t
+    assert states.shape == (11, 1)
+    assert states[0, 0] == 1.0
+    # each row is one forward_step from the row above, on one stream
+    rng = RngState(5)
+    for t in range(1, 11):
+        assert forward_step(states[t - 1], t, s, rng).tobytes() == states[t].tobytes()
 
 
 def test_simulate_forward_terminal_moments_match_marginal():
