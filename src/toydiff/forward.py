@@ -46,8 +46,7 @@ class GmmSpec:
             labels = np.asarray(self.labels)
             if labels.shape != w.shape:
                 raise ValueError("labels: one integer class id >= 0 per component")
-            labels = [check_index(c, 0, NO_MAX, "labels") for c in labels]  # K scalar checks
-            object.__setattr__(self, "labels", np.array(labels, dtype=np.int64))
+            object.__setattr__(self, "labels", check_index(labels, 0, NO_MAX, "labels"))
 
     @property
     def dim(self):

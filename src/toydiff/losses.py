@@ -55,12 +55,11 @@ def x0_from_eps(x_t, eps, t, sched):
     return reverse_step(x_t, eps, (np.sqrt(1.0 - ab), np.sqrt(ab), 0.0))
 
 
-def mu_tilde_from_eps(x_t, eps, t, sched, var=None):
-    """The reverse mean, reverse_step at sigma = 0: the eps form of the mean of
-    q_sigma(x_{t-1} | x_t, x0), sigma_t^2 = var (beta_tilde_t when None, which gives the
-    posterior mean).  An array t holds one step per row."""
+def mu_tilde_from_eps(x_t, eps, t, sched):
+    """The posterior mean in eps form, reverse_step at sigma = 0 on the coefficients of
+    sigma_t^2 = beta_tilde_t.  An array t holds one step per row."""
     _, x_t, eps = check_rows(t, sched, x_t, eps)
-    c, sqrt_a, _ = reverse_coefficients(sched, t, var)
+    c, sqrt_a, _ = reverse_coefficients(sched, t)
     return reverse_step(x_t, eps, (c, sqrt_a, 0.0))
 
 

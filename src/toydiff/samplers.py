@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import reverse_coefficients, reverse_step
-from .schedules import check_count, check_t
+from .schedules import check_count
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,15 @@ class SamplerConfig:
 
 
 def _one_step(sched, t, var, rng):
-    """The checked t and its coefficients, before m.predict runs (m may be any predictor);
+    """The step index of t and its coefficients, checked before m.predict runs (m may be any
+    predictor, so it gets the int check_t would return: 3.0 and True must not index);
     ValueError unless t is one step, and for sigma_t > 0 without an rng."""
-    t = check_t(t, sched)
-    if np.ndim(t):
+    coefficients = reverse_coefficients(sched, t, var)  # checks t
+    if np.ndim(coefficients[0]):  # an array t gives columns
         raise ValueError("t must be one step: every chain of a batch moves at one t")
-    coefficients = reverse_coefficients(sched, t, var)
     if coefficients[2] > 0.0 and rng is None:
         raise ValueError("rng is required when sigma_t > 0")
-    return t, coefficients
+    return int(t), coefficients
 
 
 def ddpm_step(m, x_t, t, sched, y=None, rng=None):
@@ -68,7 +68,8 @@ def ddim_sigma_ddpm_equiv(t, sched):
 
 
 def ddim_step(m, x_t, t, sigma_t, sched, y=None, rng=None):
-    """One step of the sigma family, N(mu_tilde_from_eps(var=sigma_t^2), sigma_t^2 I).
+    """One step of the sigma family at sigma_t, reverse_step on reverse_coefficients(sched, t,
+    sigma_t^2).
 
     sigma_t = 0 draws nothing.  DDPM is the member sigma_t^2 = beta_tilde_t;
     the DDPM sigma policy runs ddpm_step, so it reproduces DDPM byte for byte.

@@ -1,5 +1,6 @@
 """Closed-form references for the tests: noise predictors, a noisy classifier,
-schedule invariants, the DDIM form of the reverse mean, an exact empirical W1,
+schedule invariants, the DDIM form of the reverse mean and the sigma-family mean
+built from the package's public parts, an exact empirical W1,
 the variational bound computed one t at a time, the index check that tests
 every entry, and the name of the BLAS kernel the golden digests depend on.
 
@@ -15,8 +16,8 @@ import numpy as np
 
 from toydiff import forward
 from toydiff.gaussian import DiagGaussian, kl_closed_form, log_pdf
-from toydiff.losses import VlbReport, mu_tilde_from_eps
-from toydiff.schedules import check_count
+from toydiff.losses import VlbReport, mu_tilde_from_eps, reverse_coefficients, reverse_step
+from toydiff.schedules import check_count, check_rows
 
 
 def blas_core():
@@ -114,6 +115,15 @@ def ddim_mean(x_t, eps, t, sigma, sched):
     ab_prev, ab = sched.alpha_bar[t - 1], sched.alpha_bar[t]
     return ((x_t - np.sqrt(1.0 - ab) * eps) / np.sqrt(sched.alpha[t])
             + np.sqrt(1.0 - ab_prev - sigma ** 2) * eps)
+
+
+def sigma_mean(x_t, eps, t, sched, var):
+    """The mean of the sigma family at sigma_t^2 = var (beta_tilde_t when None) as the
+    package's callers build it: the pair checked by check_rows, then reverse_step at
+    sigma = 0 on the coefficients of reverse_coefficients."""
+    _, x_t, eps = check_rows(t, sched, x_t, eps)
+    c, sqrt_a, _ = reverse_coefficients(sched, t, var)
+    return reverse_step(x_t, eps, (c, sqrt_a, 0.0))
 
 
 def exact_w1(a, b):

@@ -130,8 +130,8 @@ BUDGETS = {
     "sample/cfg": (83, 40, 120, 0, 0, 0, 60, 570),
     "sample/classifier": (63, 20, 60, 20, 60, 20, 60, 551),
     "vlb": (25, 20, 60, 0, 0, 0, 60, 254),
-    "setup": (2, 0, 0, 0, 0, 0, 2, 53),
-    "cli": (58, 40, 120, 0, 0, 5, 200, 1105),
+    "setup": (1, 0, 0, 0, 0, 0, 2, 51),
+    "cli": (57, 40, 120, 0, 0, 5, 200, 1103),
 }
 
 

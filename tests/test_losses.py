@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import PointMassOracle, vlb_per_t
+from oracles import PointMassOracle, sigma_mean, vlb_per_t
 
 from toydiff import forward
 from toydiff.forward import posterior_q
@@ -78,10 +78,10 @@ def test_mu_tilde_with_var_is_the_sigma_family_mean_randomized():
         var = rng.uniform(0.0, 1.0 - ab_prev)
         x0_form = (np.sqrt(ab_prev) * x0
                    + np.sqrt(1 - ab_prev - var) * (xt - np.sqrt(ab) * x0) / np.sqrt(1 - ab))
-        assert np.allclose(mu_tilde_from_eps(xt, eps, t, s, var), x0_form,
-                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(sigma_mean(xt, eps, t, s, var), x0_form, rtol=1e-12, atol=1e-12)
         default = mu_tilde_from_eps(xt, eps, t, s)
-        assert mu_tilde_from_eps(xt, eps, t, s, s.beta_tilde[t]).tobytes() == default.tobytes()
+        assert sigma_mean(xt, eps, t, s, None).tobytes() == default.tobytes()
+        assert sigma_mean(xt, eps, t, s, s.beta_tilde[t]).tobytes() == default.tobytes()
 
 
 def test_mu_tilde_rejects_a_var_outside_the_family():
@@ -91,9 +91,9 @@ def test_mu_tilde_rejects_a_var_outside_the_family():
     v_max, message = 1 - s.alpha_bar[3], re.escape("sigma_t^2 must lie in [0, 1 - abar_{t-1}]")
     for t, bad in ((4, math.nan), (4, -1e-300), (4, v_max * (1 + 1e-12)), (1, 1e-3)):
         with pytest.raises(ValueError, match=message):
-            mu_tilde_from_eps(xt, eps, t, s, bad)
+            sigma_mean(xt, eps, t, s, bad)
     # at the top of the range the direction term is gone: sqrt(abar_{t-1}) x0_hat
-    assert np.allclose(mu_tilde_from_eps(xt, eps, 4, s, v_max),
+    assert np.allclose(sigma_mean(xt, eps, 4, s, v_max),
                        np.sqrt(s.alpha_bar[3]) * x0_from_eps(xt, eps, 4, s), rtol=1e-12)
 
 
@@ -116,7 +116,7 @@ def test_an_array_t_is_one_step_per_row():
     s = make_linear_schedule(10, 0.05, 0.2)
     xt, eps, ts = np.array([[0.8], [-1.3]]), np.array([[-0.4], [0.9]]), np.array([2, 3])
     for f in (x0_from_eps, mu_tilde_from_eps,
-              lambda x, e, t, s: mu_tilde_from_eps(x, e, t, s, var=0.0)):
+              lambda x, e, t, s: sigma_mean(x, e, t, s, 0.0)):
         out = f(xt, eps, ts, s)
         assert out.shape == (2, 1)
         for i, t in enumerate(ts):
@@ -143,13 +143,15 @@ def test_the_public_pairs_and_losses_give_the_package_messages():
 @pytest.mark.parametrize("var", (None, 0.0))
 def test_reverse_plan_rows_give_the_mu_tilde_bytes(s, var):
     # a chain's plan, reverse_coefficients over every t in one call, gives one (T, 1) column
-    # per coefficient; row t - 1 is mu_tilde_from_eps's step at t, bit for bit, and its sigma_t
+    # per coefficient; row t - 1 is the scalar step at t, bit for bit, and its sigma_t
     columns = reverse_coefficients(s, np.arange(1, s.T + 1), var)
     assert [col.shape for col in columns] == [(s.T, 1)] * 3
     rng = np.random.default_rng(8)
     xt, eps = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
     for t, (c, sqrt_a, sigma) in enumerate(np.hstack(columns), start=1):
-        assert ((xt - c * eps) / sqrt_a).tobytes() == mu_tilde_from_eps(xt, eps, t, s, var).tobytes()
+        assert ((xt - c * eps) / sqrt_a).tobytes() == sigma_mean(xt, eps, t, s, var).tobytes()
+        if var is None:
+            assert ((xt - c * eps) / sqrt_a).tobytes() == mu_tilde_from_eps(xt, eps, t, s).tobytes()
         assert sigma == (math.sqrt(s.beta_tilde[t]) if var is None else 0.0)
         assert [float(v) for v in reverse_coefficients(s, t, var)] == [c, sqrt_a, sigma]
 

@@ -134,6 +134,15 @@ def test_ddim_zero_noise_oracle_collapses_to_clean_point():
     assert abs(x[0, 0] - 1.7) < 1e-8
 
 
+def test_the_public_steps_hand_any_predictor_the_checked_index():
+    # an oracle indexes the schedule with t: 3.0 must not raise and True must not be a mask
+    oracle, x = PointMassOracle(np.array([1.7])), np.array([[0.4], [-1.1]])
+    for t, index in ((3.0, 3), (np.float64(3.0), 3), (True, 1), (np.int64(7), 7)):
+        for step in (lambda t: ddpm_step(oracle, x, t, SCHED, rng=RngState(2)),
+                     lambda t: ddim_step(oracle, x, t, 0.0, SCHED)):
+            assert step(t).tobytes() == step(index).tobytes()
+
+
 def test_sample_reverse_runs_on_an_oracle_predictor():
     # the full loop takes any object with data_dim and predict, not only a model
     x0 = np.array([1.7, -0.3])
