@@ -3,14 +3,14 @@
 reverse_step is the one update of the reverse process, DDIM's sigma family
 x_{t-1} = (x_t - c_t eps) / sqrt(alpha_t) + sigma_t z, and reverse_coefficients
 the one place its coefficients are built and sigma_t^2 is range-checked, for
-one t or one t per row (schedules.check_rows).  x0_from_eps and mu_tilde_from_eps
-(the posterior mean) are the step at sigma = 0, and samplers and vlb_estimate run
-it on their own rows; the public functions check their inputs, reverse_step does
-not.  The weighted losses carry the
-exact per-step KL coefficients (training's weighted variant reads
-eps_kl_weight) and reject t = 1, where beta_tilde_1 = 0 leaves the weight
-undefined; training gives t = 1 the t = 2 weight.  vlb_estimate runs on any
-noise predictor (see samplers): a trained model or an exact oracle.
+one t or one t per row (schedules.check_rows).  x0_from_eps and
+mu_tilde_from_eps (the posterior mean) are the step at sigma = 0, and samplers
+and vlb_estimate run it on their own rows; the public functions check their
+inputs, reverse_step does not.  The weighted losses carry the exact per-step
+KL coefficients (training's weighted variant reads eps_kl_weight) and reject
+t = 1, where beta_tilde_1 = 0 leaves the weight undefined; training gives
+t = 1 the t = 2 weight.  vlb_estimate runs on any noise predictor (see
+samplers): a trained model or an exact oracle.
 """
 
 from dataclasses import dataclass
