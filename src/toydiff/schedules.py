@@ -122,12 +122,12 @@ def check_rows(t, sched, *arrays, lo=1):
     indexes is one per row.  The one place a caller's array t becomes a column."""
     t = check_index(t, lo, sched.T, "t")
     out = [t]
-    for a in arrays:  # a loop, not a comprehension: no call per array
+    for a in arrays:  # a loop: a comprehension is one more call (tests/test_budgets.py)
         out.append(np.asarray(a, dtype=np.float64))
         if out[-1].shape != out[1].shape:
             raise ValueError(f"the arrays must have one shape, not {out[1].shape} and"
                              f" {out[-1].shape}")
-    if np.ndim(t):
+    if isinstance(t, np.ndarray):  # check_index gives an int for a scalar t
         shape = out[1].shape if arrays else (len(t), 1)
         if t.ndim != 1 or len(shape) != 2 or shape[0] != len(t):
             raise ValueError(f"an array t needs shape (n,) and (n, d) arrays with one row per step,"
